@@ -6,6 +6,7 @@ are cached across criteria. Each criterion prints one PASS/FAIL line
 (visible with pytest -s or on failure).
 """
 
+import hashlib
 import math
 import statistics
 import time
@@ -61,6 +62,15 @@ NNLUT = {
     (Kind.EXP, 16): 2.3e-4,
 }
 TABLE3_WIDE = {Kind.DIV: 7.8e-4, Kind.RSQRT: 1.2e-3}
+
+# sha256 of the full-length stock seed-0 8-entry fit artifact per operator.
+GOLDEN_500 = {
+    Kind.GELU: "ceeefa970ce4af0d48fb0fabd1dfd7555896c4b037064b31c08e6f157c159327",
+    Kind.HSWISH: "2990a4e03772ea24b876003fcb1372f53c9eca932ca193570f849eaa3f24ff61",
+    Kind.EXP: "fbdccb8320bd78d8095363a6c8cadd1604606ebbcdb20e0bfc0c010d0f7f8832",
+    Kind.DIV: "3175024c11981c961bfa416c730a4cf066c632710875a8c2e4843fa5260f9f07",
+    Kind.RSQRT: "58539ceb14927c26a750d811f4e6c41efd33346a5813ce4586d07f4f760a9b7a",
+}
 
 _fit_cache: dict = {}
 _fit_seconds: dict = {}
@@ -295,3 +305,17 @@ def test_criterion_6_property_suite():
     for name, ok, detail in results:
         print(f"   {name}: {'pass' if ok else 'FAIL'} ({detail})")
     assert all_ok, [r for r in results if not r[1]]
+
+
+def test_full_length_fits_match_golden_digests():
+    from lutfit.artifacts import Provenance, fit_artifact_text
+
+    digests = {
+        kind: hashlib.sha256(
+            fit_artifact_text(get_fit(kind, 8, 0), Provenance("golden", 0)).encode()
+        ).hexdigest()
+        for kind in GOLDEN_500
+    }
+    moved = [kind.value for kind in GOLDEN_500 if digests[kind] != GOLDEN_500[kind]]
+    print(f"GOLDEN (500-generation stock fits): {'FAIL ' + str(moved) if moved else 'PASS'}")
+    assert not moved, moved
