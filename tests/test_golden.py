@@ -4,6 +4,12 @@ Stock hyperparameters, seeds 0 and 1, 60 generations, written through
 cmd_fit. Any change to the GA's draws, its fitness arithmetic or the
 artifact text moves these digests; a change that is meant to alter fits
 must update them and say why.
+
+The fitness log records every generation's best fitness to the last bit,
+so its digest also catches float-order changes in the fitness kernel that
+the fixed-point rounding of the artifacts hides. GELU has no log pin: its
+reference comes from the C library's erf, which may differ by a few ULP
+between platforms.
 """
 
 import hashlib
@@ -60,6 +66,17 @@ GOLDEN = {
     ),
 }
 
+FITLOG_GOLDEN = {
+    ("hswish", 8): "2bb29f7c048115d3f30865bd479679df260e389e69110bf9de12a39a391d6795",
+    ("hswish", 16): "5bf5bb60ebe71ecf349193e65aeb051a85d5dbedf759758c02a866842b381bac",
+    ("exp", 8): "8b6d4c66d4918358c15e899c3814fc2144ba015cb069bfa1701b3012f6728f82",
+    ("exp", 16): "890191f6d47e7ebeefcd79e1c87a5ea70e71f407ddabac30a1501fafebeff50e",
+    ("div", 8): "cd8d621e2ba6c759fe6a757b0087cc5dbbb84eb9b0be56b2197f10371a6fd2be",
+    ("div", 16): "411048b7c46959df3fef6b0b54f82cd5f7b8a00e16fb5c50665db925b6eeaa8e",
+    ("rsqrt", 8): "f10a677c2ec0d5101b7bdc149cc1f4c9806dc7aeb6ac74588762a52538868138",
+    ("rsqrt", 16): "0dbd72c55b4854cb9b325ba462465cda2188f3efc9ef874603727b5200762a23",
+}
+
 
 @pytest.mark.parametrize("function,entries", sorted(GOLDEN))
 def test_fit_artifacts_match_golden_digests(tmp_path, function, entries):
@@ -72,3 +89,7 @@ def test_fit_artifacts_match_golden_digests(tmp_path, function, entries):
         with open(path, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
     assert tuple(digests) == GOLDEN[(function, entries)]
+    if (function, entries) in FITLOG_GOLDEN:
+        path = os.path.join(str(tmp_path), f"{function}_{entries}e_fitlog.csv")
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == FITLOG_GOLDEN[(function, entries)]
