@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .nonlin import Kind, NonLinSpec, default_spec, eval_ref
 from .pwl import BreakpointSet, PwlTable, derive_table, eval_pwl, fitness_mse
-from .evolve import GaConfig, MutationKind, Population, evolve
+from .evolve import GaConfig, MutationKind, evolve
 from .quant import (
     PowTwoScale,
     QPwlTable,
@@ -43,7 +43,6 @@ __all__ = [
     "fitness_mse",
     "GaConfig",
     "MutationKind",
-    "Population",
     "evolve",
     "QuantSpec",
     "PowTwoScale",

@@ -63,11 +63,36 @@ def _spec_to_dict(spec: NonLinSpec) -> dict:
     }
 
 
+_NUMBER = (int, float)
+
+
+def _field(data: dict, name: str, types, item_types=None, owner: str = ""):
+    """data[name], type-checked; a missing or ill-typed field is a ValueError naming it.
+
+    item_types, when given, checks every element of a list field.
+    """
+    label = f"{owner}.{name}" if owner else name
+    if name not in data:
+        raise ValueError(f"artifact is missing field {label}")
+    value = data[name]
+    if not isinstance(value, types) or (
+        item_types is not None and not all(isinstance(v, item_types) for v in value)
+    ):
+        raise ValueError(f"artifact field {label} has the wrong type: {value!r}")
+    return value
+
+
 def _spec_from_dict(data: dict) -> NonLinSpec:
+    kind = _field(data, "kind", str, owner="function")
+    if kind not in {k.value for k in Kind}:
+        raise ValueError(f"artifact field function.kind names no known function: {kind!r}")
+    search_range = _field(data, "search_range", list, _NUMBER, owner="function")
+    if len(search_range) != 2:
+        raise ValueError(f"artifact field function.search_range must be [lo, hi]: {search_range}")
     return NonLinSpec(
-        kind=Kind(data["kind"]),
-        search_range=tuple(data["search_range"]),
-        scale_carrying=data["scale_carrying"],
+        kind=Kind(kind),
+        search_range=tuple(search_range),
+        scale_carrying=_field(data, "scale_carrying", bool, owner="function"),
     )
 
 
@@ -117,33 +142,36 @@ def read_artifact(path: str):
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("artifact must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported artifact schema_version {data.get('schema_version')}")
     kind = data.get("artifact_kind")
     if kind not in ("fit", "qtable"):
         raise ValueError(f"unknown artifact_kind {kind!r}")
-    spec = _spec_from_dict(data["function"])
-    provenance = data.get("provenance", {})
+    spec = _spec_from_dict(_field(data, "function", dict))
+    provenance = _field(data, "provenance", dict) if "provenance" in data else {}
     if kind == "fit":
         table = PwlTable(
-            slopes=tuple(data["slopes"]),
-            intercepts=tuple(data["intercepts"]),
+            slopes=tuple(_field(data, "slopes", list, _NUMBER)),
+            intercepts=tuple(_field(data, "intercepts", list, _NUMBER)),
             breakpoints=BreakpointSet(
-                points=tuple(data["breakpoints"]), search_range=spec.search_range
+                points=tuple(_field(data, "breakpoints", list, _NUMBER)),
+                search_range=spec.search_range,
             ),
             spec=spec,
         )
         return table, provenance
-    exponent = data["scale_exponent"]
+    exponent = _field(data, "scale_exponent", (int, type(None)))
     qtable = QPwlTable(
-        slopes_fxp=tuple(data["slopes_fxp"]),
-        intercepts_fxp=tuple(data["intercepts_fxp"]),
-        breakpoints_q=tuple(data["breakpoints_q"]),
-        frac_bits=data["frac_bits"],
+        slopes_fxp=tuple(_field(data, "slopes_fxp", list, int)),
+        intercepts_fxp=tuple(_field(data, "intercepts_fxp", list, int)),
+        breakpoints_q=tuple(_field(data, "breakpoints_q", list, int)),
+        frac_bits=_field(data, "frac_bits", int),
         spec=spec,
         scale=None if exponent is None else PowTwoScale(exponent),
-        source_segments=tuple(data["source_segments"]),
-        saturated=tuple(data["saturated"]),
+        source_segments=tuple(_field(data, "source_segments", list, int)),
+        saturated=tuple(_field(data, "saturated", list, str)),
     )
     return qtable, provenance
 
@@ -153,6 +181,12 @@ def _c_int_type(bits: int) -> str:
         if bits <= width:
             return f"int{width}_t"
     raise ValueError(f"no integer type for {bits} bits")
+
+
+def _check_width(label: str, values, bits: int):
+    for v in values:
+        if not fits(v, bits):
+            raise ValueError(f"{label} value {v} does not fit {bits} bits")
 
 
 def render_c_header(
@@ -182,9 +216,7 @@ def render_c_header(
         ("INTERCEPTS", qtable.intercepts_fxp, intercept_bits),
         ("BREAKPOINTS", qtable.breakpoints_q, breakpoint_bits),
     ):
-        for v in values:
-            if not fits(v, bits):
-                raise ValueError(f"{label.lower()} value {v} does not fit {bits} bits")
+        _check_width(label.lower(), values, bits)
         body = ", ".join(str(v) for v in values)
         lines.append(
             f"static const {_c_int_type(bits)} {prefix}_{label}[{len(values)}] = {{{body}}};"
@@ -220,13 +252,9 @@ def render_memh(
         slope = qtable.slopes_fxp[i]
         intercept = qtable.intercepts_fxp[i]
         breakpoint = qtable.breakpoints_q[i] if i < qtable.entries - 1 else 0
-        for label, v, bits in (
-            ("slope", slope, slope_bits),
-            ("intercept", intercept, intercept_bits),
-            ("breakpoint", breakpoint, breakpoint_bits),
-        ):
-            if not fits(v, bits):
-                raise ValueError(f"{label} value {v} does not fit {bits} bits")
+        _check_width("slope", (slope,), slope_bits)
+        _check_width("intercept", (intercept,), intercept_bits)
+        _check_width("breakpoint", (breakpoint,), breakpoint_bits)
         word = (
             ((slope & ((1 << slope_bits) - 1)) << (intercept_bits + breakpoint_bits))
             | ((intercept & ((1 << intercept_bits) - 1)) << breakpoint_bits)

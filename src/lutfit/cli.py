@@ -203,18 +203,12 @@ def cmd_export(
     return path
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, field: str) -> tuple[int, ...]:
+    """Comma-separated integers of a list flag; errors name the config field."""
     try:
         return tuple(int(s) for s in text.split(",") if s.strip() != "")
     except ValueError:
-        raise ConfigError(f"invalid field seeds: {text!r}") from None
-
-
-def _parse_scales(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(",") if s.strip() != "")
-    except ValueError:
-        raise ConfigError(f"invalid field scale_exponents: {text!r}") from None
+        raise ConfigError(f"invalid field {field}: {text!r}") from None
 
 
 def _build_config(args) -> RunConfig:
@@ -241,9 +235,9 @@ def _build_config(args) -> RunConfig:
         ga = replace(ga, iterations=args.iterations)
     cfg = replace(cfg, ga=ga)
     if getattr(args, "seeds", None):
-        cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
+        cfg = replace(cfg, seeds=_parse_ints(args.seeds, "seeds"))
     if getattr(args, "scales", None):
-        cfg = replace(cfg, scale_exponents=_parse_scales(args.scales))
+        cfg = replace(cfg, scale_exponents=_parse_ints(args.scales, "scale_exponents"))
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
     return cfg

@@ -26,6 +26,7 @@ from .pwl import (
     PwlTable,
     derive_table,
     fitness_grid,
+    fitness_scorer,
 )
 from .quant import (
     PowTwoScale,
@@ -175,28 +176,19 @@ def brute_force_oracle(
     if n_breakpoints > 2:
         raise ValueError(f"oracle supports n_breakpoints <= 2, got {n_breakpoints}")
     lo, hi = spec.search_range
-    count = int(math.floor((hi - lo) / grid_step + 1e-9))
-    grid = np.linspace(lo, hi, count + 1)
+    grid, _ = fitness_grid(spec.search_range, grid_step)
     n_combos = math.comb(grid.size, n_breakpoints)
     if n_combos > budget:
         raise ValueError(f"{n_combos} candidate tuples exceed the budget of {budget}")
 
-    xs, denom = fitness_grid(spec.search_range, FITNESS_STEP)
-    f = ref if ref is not None else (lambda v: eval_ref(spec, v))
-    fx = np.asarray(f(xs), dtype=float)
+    scorer = fitness_scorer(spec, FITNESS_STEP, ref)
     best_mse = math.inf
     best_pts = None
     for pts in combinations(grid.tolist(), n_breakpoints):
-        nodes = np.array([lo, *pts, hi])
-        gaps = np.diff(nodes)
-        if gaps.min() < MIN_GAP - 1e-12:
+        nodes = (lo, *pts, hi)
+        if min(b - a for a, b in zip(nodes, nodes[1:])) < MIN_GAP - 1e-12:
             continue
-        fv = np.asarray(f(nodes), dtype=float)
-        slopes = np.diff(fv) / gaps
-        intercepts = fv[:-1] - slopes * nodes[:-1]
-        idx = np.searchsorted(nodes[1:-1], xs, side="right")
-        err = slopes[idx] * xs + intercepts[idx] - fx
-        mse = float(err @ err) / denom
+        mse = scorer(pts)
         if mse < best_mse:
             best_mse = mse
             best_pts = pts

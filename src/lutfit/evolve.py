@@ -18,14 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .fxp import fxp_round
-from .nonlin import NonLinSpec, eval_ref
+from .nonlin import NonLinSpec
 from .pwl import (
-    FITNESS_STEP,
     MIN_GAP,
     BreakpointSet,
     PwlTable,
     derive_table,
-    fitness_grid,
+    fitness_scorer,
     fxp_round_table,
     repaired_breakpoints,
 )
@@ -76,22 +75,17 @@ class GaConfig:
             raise ValueError(f"gaussian_sigma must be positive, got {self.gaussian_sigma}")
 
 
-@dataclass
-class Population:
-    individuals: list[BreakpointSet]
-    generation: int = 0
-
-
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def init_population(cfg: GaConfig, spec: NonLinSpec, rng: np.random.Generator) -> Population:
+def init_population(
+    cfg: GaConfig, spec: NonLinSpec, rng: np.random.Generator
+) -> list[BreakpointSet]:
     """Uniform random breakpoint sets, sorted and spacing-repaired."""
     lo, hi = spec.search_range
     draws = rng.uniform(lo, hi, size=(cfg.population_size, cfg.n_breakpoints))
-    individuals = [repaired_breakpoints(row, spec.search_range) for row in draws]
-    return Population(individuals=individuals, generation=0)
+    return [repaired_breakpoints(row, spec.search_range) for row in draws]
 
 
 def crossover(
@@ -180,55 +174,14 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
 
 
 def _tournament_picks(fitnesses, rng: np.random.Generator, rounds: int = 3) -> list[int]:
+    """Winner indices of len(fitnesses) independent tournaments (lower MSE
+    wins, ties to the lowest index)."""
     n = len(fitnesses)
     entrants = rng.integers(0, n, size=(n, rounds))
     picks = []
     for row in entrants:
         picks.append(min((int(c) for c in row), key=lambda c: (fitnesses[c], c)))
     return picks
-
-
-def tournament_select(
-    pop: Population, fitnesses: list[float], rng: np.random.Generator
-) -> Population:
-    """Next generation from independent 3-way tournaments (lower MSE wins)."""
-    if len(fitnesses) != len(pop.individuals):
-        raise ValueError(
-            f"{len(fitnesses)} fitness values for {len(pop.individuals)} individuals"
-        )
-    picks = _tournament_picks(fitnesses, rng)
-    return Population(
-        individuals=[pop.individuals[k] for k in picks],
-        generation=pop.generation + 1,
-    )
-
-
-class _Scorer:
-    """Fitness-grid MSE of the table derived from a breakpoint set.
-
-    Caches the grid and reference values; scoring an individual costs one
-    small reference evaluation at its nodes plus a vectorized sweep.
-    """
-
-    def __init__(self, spec: NonLinSpec, step: float = FITNESS_STEP):
-        self.spec = spec
-        self.xs, self.count = fitness_grid(spec.search_range, step)
-        self.fx = np.asarray(eval_ref(spec, self.xs), dtype=float)
-        self.lo, self.hi = spec.search_range
-
-    def __call__(self, bset: BreakpointSet) -> float:
-        pts = np.asarray(bset.points)
-        nodes = np.empty(pts.size + 2)
-        nodes[0] = self.lo
-        nodes[1:-1] = pts
-        nodes[-1] = self.hi
-        fv = np.asarray(eval_ref(self.spec, nodes), dtype=float)
-        gaps = np.diff(nodes)
-        slopes = np.diff(fv) / gaps
-        intercepts = fv[:-1] - slopes * nodes[:-1]
-        idx = np.searchsorted(pts, self.xs, side="right")
-        err = slopes[idx] * self.xs + intercepts[idx] - self.fx
-        return float(err @ err) / self.count
 
 
 def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable:
@@ -250,9 +203,8 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
     entry for the returned individual.
     """
     rng = make_rng(cfg.seed)
-    pop = init_population(cfg, spec, rng)
-    inds = pop.individuals
-    scorer = _Scorer(spec)
+    inds = init_population(cfg, spec, rng)
+    scorer = fitness_scorer(spec)
     fitness = [0.0] * cfg.population_size
     sigma = cfg.gaussian_sigma
     if sigma is None:
@@ -262,7 +214,7 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
 
     for gen in range(cfg.iterations):
         for i in range(n):
-            fitness[i] = scorer(inds[i])
+            fitness[i] = scorer(inds[i].points)
             rand_c = rng.random()
             rand_m = rng.random()
             if rand_c < cfg.cross_prob and n > 1:
@@ -280,7 +232,7 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
         picks = _tournament_picks(fitness, rng)
         inds = [inds[k] for k in picks]
 
-    fitness = [scorer(ind) for ind in inds]
+    fitness = [scorer(ind.points) for ind in inds]
     best = min(range(n), key=lambda k: (fitness[k], k))
     if log is not None:
         log.append((cfg.iterations, fitness[best]))

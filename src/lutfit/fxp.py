@@ -64,11 +64,3 @@ def shift_right_round(value: int, shift: int) -> int:
     if shift <= 0:
         return int(value) << (-shift)
     return (int(value) + (1 << (shift - 1))) >> shift
-
-
-def to_twos_complement_hex(value: int, bits: int) -> str:
-    """Two's-complement hex encoding of value at the given field width."""
-    if not fits(value, bits, signed=True):
-        raise ValueError(f"{value} not representable in {bits} signed bits")
-    width = (bits + 3) // 4
-    return format(int(value) & ((1 << bits) - 1), f"0{width}X")

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf
 
 
 class DomainError(ValueError):
@@ -38,6 +37,7 @@ SEARCH_RANGES: dict[Kind, tuple[float, float]] = {
 }
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_erf = np.frompyfunc(math.erf, 1, 1)  # 0-d input gives a bare float
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def eval_ref(spec: NonLinSpec, x):
     if kind in (Kind.DIV, Kind.RSQRT) and np.any(arr <= 0.0):
         raise DomainError(f"{kind.value} requires x > 0")
     if kind is Kind.GELU:
-        out = arr * 0.5 * (1.0 + erf(arr * _INV_SQRT2))
+        out = arr * 0.5 * (1.0 + np.asarray(_erf(arr * _INV_SQRT2), dtype=float))
     elif kind is Kind.HSWISH:
         out = arr * np.clip(arr + 3.0, 0.0, 6.0) / 6.0
     elif kind is Kind.EXP:

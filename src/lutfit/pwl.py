@@ -6,6 +6,7 @@ use segment 0 and inputs at or right of the last use segment N-1. The two
 boundary segments extrapolate linearly outside the fitting range.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,28 @@ class PwlTable:
         return len(self.slopes)
 
 
+def reference_values(spec: NonLinSpec, x: np.ndarray, ref=None) -> np.ndarray:
+    """The operator's exact values at x, or ref's when a stub target is given."""
+    return eval_ref(spec, x) if ref is None else np.asarray(ref(x), dtype=float)
+
+
+def segment_params(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of the pwl interpolating values at ascending nodes."""
+    slopes = np.diff(values) / np.diff(nodes)
+    intercepts = values[:-1] - slopes * nodes[:-1]
+    return slopes, intercepts
+
+
+def eval_segments(points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray, x):
+    """slope*x + intercept of the segment each x selects (ndarray table fields).
+
+    The segment index is the number of points <= x, so the boundary
+    segments extrapolate outside the first and last point.
+    """
+    idx = np.searchsorted(points, x, side="right")
+    return slopes[idx] * x + intercepts[idx]
+
+
 def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None, min_gap: float = MIN_GAP) -> PwlTable:
     """Table whose segments interpolate the reference exactly at the breakpoints.
 
@@ -118,10 +141,7 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None, min_gap: float 
     gaps = np.diff(nodes)
     if gaps.min() < min_gap - 1e-12:
         raise GapError(f"segment narrower than {min_gap}: gaps {gaps.tolist()}")
-    f = ref if ref is not None else (lambda v: eval_ref(spec, v))
-    fv = np.asarray(f(nodes), dtype=float)
-    slopes = np.diff(fv) / gaps
-    intercepts = fv[:-1] - slopes * nodes[:-1]
+    slopes, intercepts = segment_params(nodes, reference_values(spec, nodes, ref))
     return PwlTable(
         slopes=tuple(slopes.tolist()),
         intercepts=tuple(intercepts.tolist()),
@@ -132,14 +152,11 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None, min_gap: float 
 
 def eval_pwl(table: PwlTable, x):
     """Evaluate the table at x (scalar or ndarray); tails extrapolate."""
-    pts = np.asarray(table.breakpoints.points)
-    idx = np.searchsorted(pts, x, side="right")
-    slopes = np.asarray(table.slopes)
-    intercepts = np.asarray(table.intercepts)
-    y = slopes[idx] * x + intercepts[idx]
-    if np.isscalar(x):
-        return float(y)
-    return y
+    y = eval_segments(
+        np.asarray(table.breakpoints.points), np.asarray(table.slopes),
+        np.asarray(table.intercepts), x,
+    )
+    return float(y) if np.isscalar(x) else y
 
 
 def fitness_grid(search_range: tuple[float, float], step: float) -> tuple[np.ndarray, int]:
@@ -149,18 +166,50 @@ def fitness_grid(search_range: tuple[float, float], step: float) -> tuple[np.nda
     return np.linspace(lo, hi, count + 1), count
 
 
+class FitnessScorer:
+    """Fitness-grid MSE against one operator; caches the grid and its reference values.
+
+    ref overrides the reference function (used by tests with stub targets).
+    """
+
+    def __init__(self, spec: NonLinSpec, step: float = FITNESS_STEP, ref=None):
+        if step <= 0:
+            raise ValueError(f"step must be positive, got {step}")
+        self.spec = spec
+        self.ref = ref
+        self.lo, self.hi = spec.search_range
+        self.xs, self.count = fitness_grid(spec.search_range, step)
+        self.fx = reference_values(spec, self.xs, ref)
+
+    def table_mse(self, points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> float:
+        err = eval_segments(points, slopes, intercepts, self.xs) - self.fx
+        return float(err @ err) / self.count
+
+    def __call__(self, points) -> float:
+        """MSE of the table interpolating the reference at points and the range ends."""
+        nodes = np.empty(len(points) + 2)
+        nodes[0] = self.lo
+        nodes[1:-1] = points
+        nodes[-1] = self.hi
+        slopes, intercepts = segment_params(nodes, reference_values(self.spec, nodes, self.ref))
+        return self.table_mse(nodes[1:-1], slopes, intercepts)
+
+
+# Shared scorers: the grid and its reference values are built once per
+# (spec, step, ref).
+fitness_scorer = functools.lru_cache(maxsize=32)(FitnessScorer)
+
+
 def fitness_mse(table: PwlTable, spec: NonLinSpec, step: float = FITNESS_STEP, ref=None) -> float:
     """Mean squared error of the table on the step-spaced range grid.
 
     The sum of squared errors is divided by (hi - lo) / step, matching the
     optimizer's running-mean accumulation.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    xs, count = fitness_grid(spec.search_range, step)
-    f = ref if ref is not None else (lambda v: eval_ref(spec, v))
-    err = eval_pwl(table, xs) - np.asarray(f(xs), dtype=float)
-    return float(err @ err) / count
+    return fitness_scorer(spec, step, ref).table_mse(
+        np.asarray(table.breakpoints.points), np.asarray(table.slopes),
+        np.asarray(table.intercepts),
+    )
 
 
 def fxp_round_table(table: PwlTable, frac_bits: int) -> PwlTable:

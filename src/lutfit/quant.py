@@ -20,7 +20,7 @@ import numpy as np
 
 from .fxp import int_bounds, round_half_up, saturate, to_mantissa
 from .nonlin import DomainError, Kind, NonLinSpec
-from .pwl import PwlTable
+from .pwl import PwlTable, eval_segments
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +46,6 @@ class QuantSpec:
 
 
 INT8 = QuantSpec(bits=8, signed=True)
-INT16 = QuantSpec(bits=16, signed=True)
 
 
 @dataclass(frozen=True)
@@ -242,19 +241,11 @@ def eval_qpwl_real(qtable: QPwlTable, x):
     Segment selection uses the dequantized breakpoint positions; the output
     is slope*x + intercept with the stored fixed-point parameter values.
     """
-    pts = np.asarray(qtable.breakpoints_real)
-    idx = np.searchsorted(pts, x, side="right")
-    slopes = np.asarray(qtable.slopes_real)
-    intercepts = np.asarray(qtable.intercepts_real)
-    y = slopes[idx] * x + intercepts[idx]
-    if np.isscalar(x):
-        return float(y)
-    return y
-
-
-def float_segment_index(table: PwlTable, x: float) -> int:
-    """Segment the real-valued table selects for input x."""
-    return int(np.searchsorted(np.asarray(table.breakpoints.points), x, side="right"))
+    y = eval_segments(
+        np.asarray(qtable.breakpoints_real), np.asarray(qtable.slopes_real),
+        np.asarray(qtable.intercepts_real), x,
+    )
+    return float(y) if np.isscalar(x) else y
 
 
 def breakpoint_deviation(

@@ -33,7 +33,6 @@ from lutfit.quant import (
     breakpoint_deviation,
     default_plan,
     dequantize,
-    float_segment_index,
     quantize,
     quantize_table,
 )
@@ -74,6 +73,11 @@ GOLDEN_500 = {
 
 _fit_cache: dict = {}
 _fit_seconds: dict = {}
+
+
+def float_segment_index(table, x: float) -> int:
+    """Segment the real-valued table selects for input x."""
+    return int(np.searchsorted(np.asarray(table.breakpoints.points), x, side="right"))
 
 
 def get_fit(kind, entries=8, seed=0, mutation=None, n_breakpoints=None):

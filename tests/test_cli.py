@@ -162,6 +162,18 @@ def test_read_artifact_rejects_unknown_kind(tmp_path):
         read_artifact(str(path))
 
 
+def test_read_artifact_names_ill_typed_qtable_field(tmp_path):
+    path = str(tmp_path / "t.qtable.json")
+    write_qtable_artifact(path, sample_qtable(), Provenance("abc", 0))
+    with open(path) as fh:
+        data = json.load(fh)
+    data["frac_bits"] = "5"
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ValueError, match="field frac_bits"):
+        read_artifact(path)
+
+
 def test_memh_hand_packed_example():
     qt = QPwlTable(
         slopes_fxp=(8,),
@@ -386,6 +398,37 @@ def test_main_end_to_end(tmp_path, capsys):
     rc = main(["export", "--table", fit_file, "--format", "nope", "--out", out])
     assert rc == 2
     assert "supported formats" in capsys.readouterr().err
+
+
+MALFORMED_FIT = {
+    "function": lambda d: d.pop("function"),
+    "function.kind": lambda d: d["function"].pop("kind"),
+    "function.search_range": lambda d: d["function"].update(search_range="wide"),
+    "slopes": lambda d: d.update(slopes="steep"),
+    "breakpoints": lambda d: d.pop("breakpoints"),
+    "provenance": lambda d: d.update(provenance=[1]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED_FIT))
+def test_main_malformed_artifact_names_field(tmp_path, capsys, field):
+    bps = BreakpointSet(points=(-1.3, 0.7), search_range=GELU.search_range)
+    path = str(tmp_path / "t.fit.json")
+    write_fit_artifact(path, fxp_round_table(derive_table(GELU, bps), 5), Provenance("abc", 0))
+    with open(path) as fh:
+        data = json.load(fh)
+    MALFORMED_FIT[field](data)
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["eval", "--table", path, "--out", out],
+        ["export", "--table", path, "--format", "memh", "--scale-exp", "-5", "--out", out],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"field {field}" in err, err
+    assert not os.path.exists(out)
 
 
 def test_main_conflicting_function_flag(tmp_path, capsys):

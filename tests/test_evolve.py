@@ -4,15 +4,14 @@ import pytest
 from lutfit.evolve import (
     GaConfig,
     MutationKind,
-    Population,
     _rm_exponent,
+    _tournament_picks,
     crossover,
     evolve,
     gaussian_mutate,
     init_population,
     make_rng,
     rounding_mutate,
-    tournament_select,
 )
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import MIN_GAP, BreakpointSet, derive_table, fitness_mse
@@ -50,8 +49,8 @@ def test_config_validation():
 def test_init_population_shape_and_bounds():
     cfg = GaConfig(n_breakpoints=7, population_size=50)
     pop = init_population(cfg, GELU, make_rng(1))
-    assert len(pop.individuals) == 50
-    for ind in pop.individuals:
+    assert len(pop) == 50
+    for ind in pop:
         pts = np.asarray(ind.points)
         assert pts.size == 7
         assert np.all(np.diff(pts) > 0)
@@ -62,13 +61,13 @@ def test_init_population_deterministic():
     cfg = GaConfig(n_breakpoints=7, population_size=20, seed=5)
     a = init_population(cfg, GELU, make_rng(5))
     b = init_population(cfg, GELU, make_rng(5))
-    assert a.individuals == b.individuals
+    assert a == b
 
 
 def test_init_population_single_breakpoint():
     cfg = GaConfig(n_breakpoints=1, population_size=4)
     pop = init_population(cfg, GELU, make_rng(0))
-    assert all(len(ind) == 1 for ind in pop.individuals)
+    assert all(len(ind) == 1 for ind in pop)
 
 
 def test_crossover_identical_parents():
@@ -183,40 +182,29 @@ def test_rounding_mutate_rate_matches_interval_width():
 
 
 def test_tournament_all_equal_resamples_population():
-    pop = Population(individuals=[bset([float(i) - 3.0]) for i in range(6)])
-    out = tournament_select(pop, [1.0] * 6, make_rng(2))
-    assert len(out.individuals) == 6
-    assert out.generation == 1
-    assert set(out.individuals) <= set(pop.individuals)
+    picks = _tournament_picks([1.0] * 6, make_rng(2))
+    assert len(picks) == 6
+    assert set(picks) <= set(range(6))
 
 
 def test_tournament_single_individual():
-    pop = Population(individuals=[bset([0.0])])
-    out = tournament_select(pop, [0.5], make_rng(0))
-    assert out.individuals == pop.individuals
+    assert _tournament_picks([0.5], make_rng(0)) == [0]
 
 
 def test_tournament_best_copy_expectation():
     # with one strictly best individual, each slot copies it with
     # probability 1 - ((n-1)/n)^3; check the Monte-Carlo mean over seeds
     n = 10
-    pop = Population(individuals=[bset([float(i) / 2 - 3.0]) for i in range(n)])
     fitnesses = [1.0] * n
     fitnesses[4] = 0.1
     copies = []
     for seed in range(200):
-        out = tournament_select(pop, fitnesses, make_rng(seed))
-        copies.append(sum(ind == pop.individuals[4] for ind in out.individuals))
+        picks = _tournament_picks(fitnesses, make_rng(seed))
+        copies.append(picks.count(4))
     expected = n * (1 - ((n - 1) / n) ** 3)  # 2.71
     mean = sum(copies) / len(copies)
     assert mean >= 1.0
     assert abs(mean - expected) < 0.5
-
-
-def test_tournament_checks_sizes():
-    pop = Population(individuals=[bset([0.0]), bset([1.0])])
-    with pytest.raises(ValueError):
-        tournament_select(pop, [1.0], make_rng(0))
 
 
 def test_evolve_deterministic():
@@ -233,7 +221,7 @@ def test_evolve_zero_iterations_returns_best_initial():
     # independent replay: the initial population is drawn first from the
     # same stream, so the winner must be its fitness argmin, FXP-rounded
     pop = init_population(cfg, GELU, make_rng(7))
-    best = min(pop.individuals, key=lambda ind: fitness_mse(derive_table(GELU, ind), GELU))
+    best = min(pop, key=lambda ind: fitness_mse(derive_table(GELU, ind), GELU))
     assert table.breakpoints == best
 
 
@@ -257,12 +245,12 @@ def test_selection_only_drift_loses_diversity():
     cfg = GaConfig(n_breakpoints=3, population_size=16, cross_prob=0.0, mutate_prob=0.0)
     rng = make_rng(11)
     pop = init_population(cfg, GELU, rng)
-    fitness = [fitness_mse(derive_table(GELU, ind), GELU) for ind in pop.individuals]
+    fitness = [fitness_mse(derive_table(GELU, ind), GELU) for ind in pop]
     for _ in range(5):
-        nxt = tournament_select(pop, fitness, rng)
-        assert set(nxt.individuals) <= set(pop.individuals)
+        nxt = [pop[k] for k in _tournament_picks(fitness, rng)]
+        assert set(nxt) <= set(pop)
         pop = nxt
-        fitness = [fitness_mse(derive_table(GELU, ind), GELU) for ind in pop.individuals]
+        fitness = [fitness_mse(derive_table(GELU, ind), GELU) for ind in pop]
 
 
 def test_smoothed_min_fitness_descends():

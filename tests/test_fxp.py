@@ -11,7 +11,6 @@ from lutfit.fxp import (
     saturate,
     shift_right_round,
     to_mantissa,
-    to_twos_complement_hex,
 )
 
 
@@ -75,12 +74,3 @@ def test_shift_right_round():
         v = int(rng.integers(-(1 << 16), 1 << 16))
         s = int(rng.integers(1, 8))
         assert shift_right_round(v, s) == round_half_up_oracle(Fraction(v, 1 << s))
-
-
-def test_twos_complement_hex():
-    assert to_twos_complement_hex(8, 8) == "08"
-    assert to_twos_complement_hex(-5, 8) == "FB"
-    assert to_twos_complement_hex(152, 16) == "0098"
-    assert to_twos_complement_hex(-128, 8) == "80"
-    with pytest.raises(ValueError):
-        to_twos_complement_hex(128, 8)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import (
@@ -14,6 +16,7 @@ from lutfit.pwl import (
     eval_pwl,
     fitness_grid,
     fitness_mse,
+    fitness_scorer,
     fxp_round_table,
     repair_points,
     repaired_breakpoints,
@@ -205,3 +208,39 @@ def test_fxp_round_table_keeps_values_near_original():
     # midpoint-anchored compensation keeps the pointwise gap within one
     # slope quantum times half a segment plus the intercept quantum
     assert np.max(np.abs(eval_pwl(rounded, xs) - eval_pwl(table, xs))) < 2 ** -5 * 3
+
+
+# Random breakpoint sets: an operator plus 1..15 unit draws, mapped into its
+# range and repaired the way the optimizer repairs them.
+point_sets = st.tuples(
+    st.sampled_from(list(Kind)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=15),
+)
+
+
+def _repaired(kind, unit):
+    spec = default_spec(kind)
+    lo, hi = spec.search_range
+    return spec, repaired_breakpoints([lo + u * (hi - lo) for u in unit], spec.search_range)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets)
+def test_ga_score_equals_fitness_of_derived_table(case):
+    spec, bps = _repaired(*case)
+    ga_score = fitness_scorer(spec)(bps.points)
+    assert ga_score == fitness_mse(derive_table(spec, bps), spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets, st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=20))
+def test_scalar_eval_matches_array_eval(case, unit_xs):
+    spec, bps = _repaired(*case)
+    table = derive_table(spec, bps)
+    lo, hi = spec.search_range
+    xs = np.array([lo + u * (hi - lo) for u in unit_xs] + list(bps.points))
+    ys = eval_pwl(table, xs)
+    for x, y in zip(xs, ys):
+        scalar = eval_pwl(table, float(x))
+        assert type(scalar) is float
+        assert scalar == y
