@@ -8,8 +8,8 @@ must update them and say why.
 The fitness log records every generation's best fitness to the last bit,
 so its digest also catches float-order changes in the fitness kernel that
 the fixed-point rounding of the artifacts hides. GELU has no log pin: its
-reference comes from the C library's erf, which may differ by a few ULP
-between platforms.
+reference uses math.erf, which CPython takes from the platform's C
+library, so its last bits may differ between platforms.
 """
 
 import hashlib
