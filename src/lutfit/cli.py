@@ -28,6 +28,7 @@ from .config import (
 )
 from .evalbench import sweep_scales, wide_range_mse
 from .evolve import MutationKind, evolve
+from .intsim import AccumulatorOverflow
 from .nonlin import Kind
 from .pwl import PwlTable, fitness_mse
 from .quant import (
@@ -105,7 +106,6 @@ def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
     summary = {
         "function": table.spec.kind.value,
         "entries": table.entries,
-        "method": "rm" if cfg.ga.mutation_kind is MutationKind.ROUNDING else "gaussian",
         "source": os.path.basename(table_path),
         "provenance": provenance,
     }
@@ -116,7 +116,6 @@ def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
             exponents=cfg.scale_exponents,
             qs=cfg.quant,
             datapath=cfg.datapath,
-            method=summary["method"],
         )
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
                     name=args.name,
                 )
             ]
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, AccumulatorOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

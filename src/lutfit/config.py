@@ -54,7 +54,6 @@ class RunConfig:
     datapath: DatapathConfig = field(default_factory=DatapathConfig)
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("data",)
 
     def spec(self) -> NonLinSpec:
         base = default_spec(self.function)
@@ -133,7 +132,13 @@ def _plan_to_value(plan):
 
 def _plan_from_value(value, function: Kind):
     """Plan field: a preset name, an inline plan object, or None."""
-    if value is None or isinstance(value, (str, RangeScalingPlan)):
+    if isinstance(value, str):
+        try:
+            get_plan(value)
+        except KeyError as exc:
+            raise ConfigError(f"invalid field plan: {exc.args[0]}") from None
+        return value
+    if value is None or isinstance(value, RangeScalingPlan):
         return value
     try:
         sub_ranges = tuple(
@@ -181,8 +186,18 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "acc_bits": cfg.datapath.acc_bits,
         },
         "seeds": list(cfg.seeds),
-        "output": {"dir": cfg.out_dir, "formats": list(cfg.formats)},
+        "output": {"dir": cfg.out_dir},
     }
+
+
+def _int_list(data: dict, key: str, default) -> tuple[int, ...]:
+    """A list-of-integers field; errors name the field."""
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigError(f"invalid field {key}: expected a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def _require(mapping: dict, key: str, section: str):
@@ -222,6 +237,11 @@ def config_from_dict(data: dict) -> RunConfig:
         ga = replace(defaults.ga, **ga_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid field ga: {exc}") from None
+    if ga.n_breakpoints != entries - 1:
+        raise ConfigError(
+            f"invalid field ga.n_breakpoints: {ga.n_breakpoints} does not match "
+            f"entries {entries} (expected {entries - 1})"
+        )
 
     quant_data = data.get("quant", {})
     try:
@@ -250,12 +270,11 @@ def config_from_dict(data: dict) -> RunConfig:
         search_range=tuple(search_range) if search_range else None,
         ga=ga,
         quant=quant,
-        scale_exponents=tuple(data.get("scale_exponents", DEFAULT_SCALE_EXPONENTS)),
+        scale_exponents=_int_list(data, "scale_exponents", DEFAULT_SCALE_EXPONENTS),
         plan=_plan_from_value(data.get("plan", defaults.plan), function),
         datapath=datapath,
-        seeds=tuple(data.get("seeds", (0,))),
+        seeds=_int_list(data, "seeds", (0,)),
         out_dir=output.get("dir", "out"),
-        formats=tuple(output.get("formats", ("data",))),
     )
     try:
         cfg.spec()

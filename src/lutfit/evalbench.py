@@ -27,11 +27,13 @@ from .pwl import (
     derive_table,
     fitness_grid,
     fitness_scorer,
+    reference_values,
 )
 from .quant import (
     PowTwoScale,
     QuantSpec,
     RangeScalingPlan,
+    dequantize,
     eval_qpwl_real,
     fxp_quantize_table,
     quantize_table,
@@ -47,7 +49,6 @@ class ScaleSweepReport:
     average_mse: float
     spec: NonLinSpec
     entry_count: int
-    method: str
 
     def __post_init__(self):
         mean = sum(m for _, m in self.per_scale) / len(self.per_scale)
@@ -85,21 +86,19 @@ def quant_aware_mse(
 ) -> float:
     """MSE of the integer datapath on the dequantized grid at one scale.
 
-    Inputs are x = S*q stepped over every q whose dequantized value lies in
-    the fitted range; the error is S * int_pwl(q) - f(x).
+    Inputs are x = S*q for every q whose dequantized value lies in the
+    fitted range, run through the datapath in one call; the error is
+    S * int_pwl(q) - f(x).
     """
     if not spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is wide-range; use wide_range_mse")
     qtable = quantize_table(table, scale, qs, frac_bits=datapath.frac_bits)
     q_min, q_max = eval_range_q(spec, scale, qs)
-    s = scale.value
-    f = ref if ref is not None else (lambda v: eval_ref(spec, v))
-    total = 0.0
-    for q in range(q_min, q_max + 1):
-        x = s * q
-        err = s * int_pwl(q, qtable, datapath) - float(f(x))
-        total += err * err
-    return total / (q_max - q_min + 1)
+    q = np.arange(q_min, q_max + 1)
+    err = scale.value * int_pwl(q, qtable, datapath) - reference_values(
+        spec, dequantize(q, scale), ref
+    )
+    return float(err @ err) / q.size
 
 
 def sweep_scales(
@@ -108,7 +107,6 @@ def sweep_scales(
     exponents=DEFAULT_SCALE_EXPONENTS,
     qs: QuantSpec = QuantSpec(8),
     datapath: DatapathConfig = DatapathConfig(),
-    method: str = "rm",
 ) -> ScaleSweepReport:
     """quant_aware_mse across a list of scale exponents plus their average."""
     exponents = tuple(exponents)
@@ -122,7 +120,6 @@ def sweep_scales(
         average_mse=sum(m for _, m in per_scale) / len(per_scale),
         spec=spec,
         entry_count=table.entries,
-        method=method,
     )
 
 

@@ -248,6 +248,17 @@ def eval_qpwl_real(qtable: QPwlTable, x):
     return float(y) if np.isscalar(x) else y
 
 
+def segment_index(q, table: QPwlTable):
+    """Table entry selected for quantized input q (an int or integer array).
+
+    The index is the number of stored breakpoints <= q, found by pure
+    integer compares, so q at or above the last breakpoint selects the last
+    entry.
+    """
+    idx = np.searchsorted(np.asarray(table.breakpoints_q, dtype=np.int64), q, side="right")
+    return int(idx) if np.isscalar(q) else idx
+
+
 def breakpoint_deviation(
     table: PwlTable, qtable: QPwlTable, qs: QuantSpec
 ) -> tuple[int, ...]:
@@ -261,11 +272,10 @@ def breakpoint_deviation(
     if qtable.scale is None:
         raise ValueError("deviation analysis requires a scale-carrying table")
     s = qtable.scale.value
-    qpts = np.asarray(qtable.breakpoints_q)
     fpts = np.asarray(table.breakpoints.points)
     segments = np.asarray(qtable.source_segments or tuple(range(qtable.entries)))
     q_values = np.arange(qs.q_lo, qs.q_hi + 1)
-    int_idx = np.searchsorted(qpts, q_values, side="right")
+    int_idx = segment_index(q_values, qtable)
     float_idx = np.searchsorted(fpts, s * q_values, side="right")
     deviated = q_values[segments[int_idx] != float_idx]
     return tuple(int(q) for q in deviated)

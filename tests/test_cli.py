@@ -74,6 +74,7 @@ def test_default_ga_configs_match_stock_hyperparameters():
 def test_config_round_trip_and_hash(tmp_path):
     cfg = tiny_config(tmp_path)
     data = config_to_dict(cfg)
+    assert data["output"] == {"dir": cfg.out_dir}
     again = config_from_dict(json.loads(json.dumps(data)))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
@@ -92,6 +93,16 @@ def test_config_errors_name_offending_field():
         config_from_dict({"function": "gelu", "seeds": []})
     with pytest.raises(ConfigError, match="schema_version"):
         config_from_dict({"function": "gelu", "schema_version": 99})
+    with pytest.raises(ConfigError, match="field plan: unknown plan 'div-int4'"):
+        config_from_dict({"function": "div", "plan": "div-int4"})
+    for key, value in (("seeds", "ab"), ("seeds", [0, 1.5]), ("seeds", [True]),
+                       ("scale_exponents", ["x"]), ("scale_exponents", -5)):
+        with pytest.raises(ConfigError, match=f"field {key}"):
+            config_from_dict({"function": "gelu", key: value})
+    with pytest.raises(ConfigError, match="field ga.n_breakpoints"):
+        config_from_dict({"function": "gelu", "entries": 8, "ga": {"n_breakpoints": 15}})
+    with pytest.raises(ConfigError, match="acc_bits"):
+        config_from_dict({"function": "gelu", "datapath": {"acc_bits": 64}})
 
 
 def test_config_inline_scaling_plan_round_trip():
@@ -305,6 +316,7 @@ def test_cmd_eval_scale_carrying(tmp_path):
     report_path = [p for p in written if p.endswith(".json")][0]
     report = json.loads(open(report_path).read())
     per_scale = {int(k): v for k, v in report["per_scale"].items()}
+    assert "method" not in report  # the fit artifact does not record it
     assert report["average_mse"] == pytest.approx(
         sum(per_scale.values()) / len(per_scale), rel=1e-12
     )
@@ -429,6 +441,22 @@ def test_main_malformed_artifact_names_field(tmp_path, capsys, field):
         err = capsys.readouterr().err
         assert f"field {field}" in err, err
     assert not os.path.exists(out)
+
+
+def test_main_eval_accumulator_overflow_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["fit", "--function", "exp", "--seeds", "0", "--iterations", "5",
+                 "--out", out]) == 0
+    cfg_path = tmp_path / "narrow.json"
+    cfg_path.write_text(json.dumps(
+        {"function": "exp", "datapath": {"param_bits": 8, "acc_bits": 16}}
+    ))
+    capsys.readouterr()
+    rc = main(["eval", "--table", os.path.join(out, "exp_8e_seed0.fit.json"),
+               "--config", str(cfg_path), "--scales=-12", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shifted intercept") and "acc_bits=16" in err, err
 
 
 def test_main_conflicting_function_flag(tmp_path, capsys):

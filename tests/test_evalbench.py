@@ -76,7 +76,7 @@ def test_quant_aware_mse_matches_naive_reimplementation():
 def test_sweep_scales_report_consistency():
     bps = repaired_breakpoints(np.linspace(-2.5, 2.5, 7), GELU.search_range)
     table = fxp_round_table(derive_table(GELU, bps), 5)
-    report = sweep_scales(table, GELU, exponents=(-6, -5, -4), method="rm")
+    report = sweep_scales(table, GELU, exponents=(-6, -5, -4))
     assert [e for e, _ in report.per_scale] == [-6, -5, -4]
     assert report.average_mse == pytest.approx(
         sum(m for _, m in report.per_scale) / 3, rel=1e-14
@@ -92,7 +92,6 @@ def test_report_rejects_inconsistent_average():
             average_mse=1.9,
             spec=GELU,
             entry_count=8,
-            method="rm",
         )
 
 

@@ -1,5 +1,12 @@
-import pytest
+import re
+from bisect import bisect_right
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lutfit.fxp import fits, int_bounds, shift_right_round
 from lutfit.intsim import AccumulatorOverflow, DatapathConfig, int_pwl, segment_index
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, eval_pwl, fxp_round_table
@@ -123,6 +130,12 @@ def test_datapath_config_validation():
     with pytest.raises(ValueError):
         DatapathConfig(acc_bits=10)  # below input + param widths
     assert DatapathConfig().effective_acc_bits == 32
+    # int64 holds at most a 63-bit accumulator exactly
+    assert DatapathConfig(acc_bits=63).effective_acc_bits == 63
+    with pytest.raises(ValueError, match="acc_bits"):
+        DatapathConfig(acc_bits=64)
+    with pytest.raises(ValueError, match="acc_bits"):
+        DatapathConfig(input_bits=32, param_bits=32)  # derived width 72
 
 
 def test_int_pwl_requires_scale_carrying_table():
@@ -136,3 +149,64 @@ def test_int_pwl_requires_scale_carrying_table():
     )
     with pytest.raises(ValueError):
         int_pwl(0, qt, DatapathConfig())
+
+
+def reference_datapath(q, table, cfg):
+    """The datapath at one input in Python ints: the output value, or the
+    (name, value) of the first intermediate that leaves acc_bits."""
+    i = bisect_right(table.breakpoints_q, q)
+    product = table.slopes_fxp[i] * q
+    shifted_b = shift_right_round(table.intercepts_fxp[i], table.scale.exponent)
+    acc = product + shifted_b
+    for name, value in (("product", product), ("shifted intercept", shifted_b), ("sum", acc)):
+        if not fits(value, cfg.effective_acc_bits):
+            return name, value
+    return acc / float(1 << cfg.frac_bits)
+
+
+@st.composite
+def datapath_cases(draw):
+    input_bits = draw(st.sampled_from((8, 16)))
+    param_bits = draw(st.integers(4, 16))
+    narrowest = input_bits + param_bits
+    acc_bits = draw(st.none() | st.integers(narrowest, narrowest + 8))
+    cfg = DatapathConfig(input_bits=input_bits, param_bits=param_bits, acc_bits=acc_bits)
+    n = draw(st.integers(1, 16))
+    breakpoints = sorted(draw(st.sets(
+        st.integers(*int_bounds(input_bits)), min_size=n - 1, max_size=n - 1
+    )))
+    params = st.lists(st.integers(*int_bounds(param_bits)), min_size=n, max_size=n)
+    table = hand_table(draw(params), draw(params), breakpoints, draw(st.integers(-24, 8)))
+    return table, cfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(datapath_cases())
+@example((hand_table([127], [127], [], exponent=-8), DatapathConfig(8, 8, acc_bits=16)))
+@example((hand_table([8, -4], [16, 12], [5], exponent=1), DatapathConfig()))
+# each intermediate exactly one past the 16-bit accumulator: 64 << 9 = 2^15,
+# and 8*64 + (126 << 8) = 2^15 at q=64 after 8*63 + (126 << 8) fits
+@example((hand_table([0], [64], [], exponent=-9), DatapathConfig(8, 8, acc_bits=16)))
+@example((hand_table([8], [126], [], exponent=-8), DatapathConfig(8, 8, acc_bits=16)))
+def test_array_datapath_matches_python_int_reference(case):
+    table, cfg = case
+    q_lo, q_hi = int_bounds(cfg.input_bits)
+    qs = np.arange(q_lo, q_hi + 1)
+    assert segment_index(qs, table).tolist() == [
+        bisect_right(table.breakpoints_q, q) for q in range(q_lo, q_hi + 1)
+    ]
+    expected = [reference_datapath(q, table, cfg) for q in range(q_lo, q_hi + 1)]
+    overflow = next(
+        ((q, r) for q, r in zip(range(q_lo, q_hi + 1), expected) if isinstance(r, tuple)), None
+    )
+    if overflow is not None:
+        q, (name, value) = overflow
+        with pytest.raises(AccumulatorOverflow, match=re.escape(f"{name} {value} ")) as info:
+            int_pwl(qs, table, cfg)
+        assert f"(q={q}, segment={bisect_right(table.breakpoints_q, q)}," in str(info.value)
+        return
+    got = int_pwl(qs, table, cfg)
+    assert got.dtype == np.float64 and got.shape == qs.shape
+    assert np.array_equal(got.view(np.int64), np.asarray(expected).view(np.int64))
+    for q in (q_lo, 0, q_hi):
+        assert int_pwl(q, table, cfg) == expected[q - q_lo]
