@@ -467,3 +467,44 @@ def test_main_conflicting_function_flag(tmp_path, capsys):
     ])
     assert rc == 2
     assert "conflicts" in capsys.readouterr().err
+
+# Two fixed tables written as fit artifacts, exported in every format by the
+# CLI; the sha256 of each output pins the export bytes.
+PINNED_EXPORT_TABLES = {
+    "gelu_8e": ("gelu", (-2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5), ["--scale-exp", "-5"]),
+    "rsqrt_16e": (
+        "rsqrt",
+        (0.375, 0.5, 0.625, 0.75, 0.875, 1.0, 1.25, 1.5, 1.75, 2.0, 2.375, 2.75, 3.0,
+         3.25, 3.5),
+        [],
+    ),
+}
+
+PINNED_EXPORT_SHA256 = {
+    "gelu_8e.h": "f751634b1617ed0dca504a5a7b1e180ac13c326ab37b041dba5c86a52d51b295",
+    "gelu_8e.memh": "ad83a0eb507750e45469c7becccc9e558e08205464068db6ec640e5609fd05e9",
+    "gelu_8e.qtable.json": "6f9110a96639b5f20d836f0b6ced92d6bb77e2e19d6170e48637cf08ae07ac7c",
+    "rsqrt_16e.h": "170ae8a0af1445b8e2956225fbc1f856e05bf441a90174dbad5568bc2cf1021d",
+    "rsqrt_16e.memh": "77ec41a672ce137fec1a28e7d918331270394b1b184c2c0ef248ed54ea623bdc",
+    "rsqrt_16e.qtable.json": "50f558eb5dc78c6bd2b31b0896dabc0207a50560c1ce047a2a8ea492b31ed4d1",
+}
+
+
+def test_main_export_bytes_are_pinned(tmp_path, capsys):
+    import hashlib
+
+    digests = {}
+    for stem, (function, points, extra) in PINNED_EXPORT_TABLES.items():
+        spec = default_spec(function)
+        table = fxp_round_table(
+            derive_table(spec, BreakpointSet(points=points, search_range=spec.search_range)), 5
+        )
+        path = str(tmp_path / f"{stem}.fit.json")
+        write_fit_artifact(path, table, Provenance("pinned", 0))
+        for fmt in ("memh", "header", "data"):
+            out = str(tmp_path / fmt)
+            assert main(["export", "--table", path, "--format", fmt, "--out", out, *extra]) == 0
+            (written,) = capsys.readouterr().out.split()
+            with open(written, "rb") as fh:
+                digests[os.path.basename(written)] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == PINNED_EXPORT_SHA256
