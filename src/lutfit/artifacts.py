@@ -193,11 +193,13 @@ def render_c_header(
     qtable: QPwlTable,
     provenance: Provenance,
     name: str,
-    slope_bits: int = 16,
-    intercept_bits: int = 16,
+    param_bits: int = 16,
     breakpoint_bits: int = 8,
 ) -> str:
-    """C header with the integer arrays plus frac-bits/scale-exponent macros."""
+    """C header with the integer arrays plus frac-bits/scale-exponent macros.
+
+    Slopes and intercepts are param_bits wide, breakpoints breakpoint_bits.
+    """
     prefix = name.upper()
     lines = [
         f"/* {name}: {qtable.entries}-entry pwl table",
@@ -212,8 +214,8 @@ def render_c_header(
     if qtable.scale is not None:
         lines.append(f"#define {prefix}_SCALE_EXP {qtable.scale.exponent}")
     for label, values, bits in (
-        ("SLOPES", qtable.slopes_fxp, slope_bits),
-        ("INTERCEPTS", qtable.intercepts_fxp, intercept_bits),
+        ("SLOPES", qtable.slopes_fxp, param_bits),
+        ("INTERCEPTS", qtable.intercepts_fxp, param_bits),
         ("BREAKPOINTS", qtable.breakpoints_q, breakpoint_bits),
     ):
         _check_width(label.lower(), values, bits)
@@ -227,38 +229,35 @@ def render_c_header(
 def render_memh(
     qtable: QPwlTable,
     provenance: Provenance,
-    slope_bits: int = 16,
-    intercept_bits: int = 16,
+    param_bits: int = 16,
     breakpoint_bits: int = 8,
 ) -> str:
     """Hex memory-init text: one packed line per LUT entry.
 
-    Fields are {slope, intercept, breakpoint}, two's complement at the
-    declared widths, most-significant field first, entry 0 first. The last
-    entry has no breakpoint of its own; its breakpoint field is zero.
+    Fields are {slope, intercept, breakpoint}, two's complement, slope and
+    intercept param_bits wide and the breakpoint breakpoint_bits wide, most
+    significant field first, entry 0 first. The last entry has no
+    breakpoint of its own; its breakpoint field is zero.
     """
-    total_bits = slope_bits + intercept_bits + breakpoint_bits
-    digits = math.ceil(total_bits / 4)
+    digits = math.ceil((2 * param_bits + breakpoint_bits) / 4)
     lines = [
         f"// lutfit {provenance.tool_version} memh export, "
         f"config {provenance.config_hash} seed {provenance.seed}",
         f"// {qtable.entries} entries; fields msb-first: "
-        f"slope[{slope_bits}] intercept[{intercept_bits}] breakpoint[{breakpoint_bits}], "
+        f"slope[{param_bits}] intercept[{param_bits}] breakpoint[{breakpoint_bits}], "
         f"two's complement; {qtable.frac_bits} fractional bits"
         + ("" if qtable.scale is None else f"; scale exponent {qtable.scale.exponent}"),
         "// last entry's breakpoint field is padding (zero)",
     ]
     for i in range(qtable.entries):
-        slope = qtable.slopes_fxp[i]
-        intercept = qtable.intercepts_fxp[i]
         breakpoint = qtable.breakpoints_q[i] if i < qtable.entries - 1 else 0
-        _check_width("slope", (slope,), slope_bits)
-        _check_width("intercept", (intercept,), intercept_bits)
-        _check_width("breakpoint", (breakpoint,), breakpoint_bits)
-        word = (
-            ((slope & ((1 << slope_bits) - 1)) << (intercept_bits + breakpoint_bits))
-            | ((intercept & ((1 << intercept_bits) - 1)) << breakpoint_bits)
-            | (breakpoint & ((1 << breakpoint_bits) - 1))
-        )
+        word = 0
+        for label, value, bits in (
+            ("slope", qtable.slopes_fxp[i], param_bits),
+            ("intercept", qtable.intercepts_fxp[i], param_bits),
+            ("breakpoint", breakpoint, breakpoint_bits),
+        ):
+            _check_width(label, (value,), bits)
+            word = (word << bits) | (value & ((1 << bits) - 1))
         lines.append(format(word, f"0{digits}X"))
     return "\n".join(lines) + "\n"

@@ -34,7 +34,6 @@ from .pwl import PwlTable, fitness_mse
 from .quant import (
     PowTwoScale,
     QPwlTable,
-    QuantSpec,
     fxp_quantize_table,
     quantize_table,
 )
@@ -89,17 +88,23 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     return written
 
 
-def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
-    """Evaluate a fitted table artifact; writes a per-scale CSV and a JSON
-    summary for scale-carrying operators, a JSON summary for wide-range ones."""
+def _read_table(cfg: RunConfig, table_path: str):
+    """read_artifact, checked against the config's function."""
     table, provenance = read_artifact(table_path)
-    if not isinstance(table, PwlTable):
-        raise ConfigError(f"{table_path} is not a fitted-table artifact")
     if table.spec.kind != cfg.function:
         raise ConfigError(
             f"artifact function {table.spec.kind.value} does not match config "
             f"function {cfg.function.value}"
         )
+    return table, provenance
+
+
+def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
+    """Evaluate a fitted table artifact; writes a per-scale CSV and a JSON
+    summary for scale-carrying operators, a JSON summary for wide-range ones."""
+    table, provenance = _read_table(cfg, table_path)
+    if not isinstance(table, PwlTable):
+        raise ConfigError(f"{table_path} is not a fitted-table artifact")
     stem, _ = os.path.splitext(os.path.basename(table_path))
     stem = stem.removesuffix(".fit")
     written = []
@@ -112,7 +117,6 @@ def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
     if table.spec.scale_carrying:
         report = sweep_scales(
             table,
-            table.spec,
             exponents=cfg.scale_exponents,
             qs=cfg.quant,
             datapath=cfg.datapath,
@@ -132,7 +136,6 @@ def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
         summary["plan"] = cfg.plan if isinstance(cfg.plan, str) else "inline"
         summary["mse"] = wide_range_mse(
             table,
-            table.spec,
             plan,
             frac_bits=cfg.datapath.frac_bits,
             bits=cfg.quant.bits,
@@ -144,28 +147,29 @@ def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
 
 
 def cmd_export(
+    cfg: RunConfig,
     table_path: str,
     fmt: str,
-    out_dir: str,
     scale_exp: int | None = None,
-    frac_bits: int = 5,
-    quant_bits: int = 8,
-    slope_bits: int = 16,
-    intercept_bits: int = 16,
-    breakpoint_bits: int = 8,
     name: str | None = None,
 ) -> str:
-    """Export a table artifact in one of the hardware formats; returns the path."""
+    """Export a table artifact in one of the hardware formats; returns the path.
+
+    The format is the config's datapath: datapath.frac_bits fractional bits,
+    the cfg.quant input format, slope and intercept fields at
+    datapath.param_bits and breakpoint fields at datapath.input_bits.
+    """
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(
             f"unsupported format {fmt!r}; supported formats: {', '.join(EXPORT_FORMATS)}"
         )
-    table, prov_dict = read_artifact(table_path)
+    table, prov_dict = _read_table(cfg, table_path)
     provenance = Provenance(
         config_hash=prov_dict.get("config_hash", "unknown"),
         seed=prov_dict.get("seed", -1),
         tool_version=prov_dict.get("tool_version", "unknown"),
     )
+    dp = cfg.datapath
     if isinstance(table, QPwlTable):
         qtable = table
     elif table.spec.scale_carrying:
@@ -173,32 +177,24 @@ def cmd_export(
             raise ConfigError(
                 f"{table.spec.kind.value} export requires --scale-exp (power-of-two exponent)"
             )
-        qtable = quantize_table(
-            table, PowTwoScale(scale_exp), QuantSpec(quant_bits), frac_bits=frac_bits
-        )
+        qtable = quantize_table(table, PowTwoScale(scale_exp), cfg.quant, frac_bits=dp.frac_bits)
     else:
-        qtable = fxp_quantize_table(table, frac_bits=frac_bits, bits=quant_bits)
+        qtable = fxp_quantize_table(table, frac_bits=dp.frac_bits, bits=cfg.quant.bits)
 
     stem, _ = os.path.splitext(os.path.basename(table_path))
     stem = stem.removesuffix(".fit").removesuffix(".qtable")
     name = name or stem
     if fmt == "data":
-        path = os.path.join(out_dir, f"{stem}.qtable.json")
+        path = os.path.join(cfg.out_dir, f"{stem}.qtable.json")
         write_qtable_artifact(path, qtable, provenance)
     elif fmt == "header":
-        path = os.path.join(out_dir, f"{stem}.h")
+        path = os.path.join(cfg.out_dir, f"{stem}.h")
         atomic_write(
-            path,
-            render_c_header(
-                qtable, provenance, name, slope_bits, intercept_bits, breakpoint_bits
-            ),
+            path, render_c_header(qtable, provenance, name, dp.param_bits, dp.input_bits)
         )
     else:
-        path = os.path.join(out_dir, f"{stem}.memh")
-        atomic_write(
-            path,
-            render_memh(qtable, provenance, slope_bits, intercept_bits, breakpoint_bits),
-        )
+        path = os.path.join(cfg.out_dir, f"{stem}.memh")
+        atomic_write(path, render_memh(qtable, provenance, dp.param_bits, dp.input_bits))
     return path
 
 
@@ -211,21 +207,26 @@ def _parse_ints(text: str, field: str) -> tuple[int, ...]:
 
 
 def _build_config(args) -> RunConfig:
+    """The run config of a command: --config or the stock config of the
+    function, with the command's flags applied. Without either, eval and
+    export take the function from their table artifact."""
+    function = getattr(args, "function", None)
     if args.config:
         cfg = load_config(args.config)
-        if getattr(args, "function", None) and Kind(args.function) != cfg.function:
+        if function and Kind(function) != cfg.function:
             raise ConfigError(
-                f"--function {args.function} conflicts with config function "
-                f"{cfg.function.value}"
+                f"--function {function} conflicts with config function {cfg.function.value}"
             )
         if getattr(args, "entries", None) and args.entries != cfg.entries:
             raise ConfigError(
                 f"--entries {args.entries} conflicts with config entries {cfg.entries}"
             )
     else:
-        if not getattr(args, "function", None):
+        if not function and getattr(args, "table", None):
+            function = read_artifact(args.table)[0].spec.kind
+        if not function:
             raise ConfigError("missing field function: pass --function or --config")
-        cfg = default_run_config(args.function, args.entries or 8)
+        cfg = default_run_config(function, getattr(args, "entries", None) or 8)
     ga = cfg.ga
     if getattr(args, "mutation", None):
         kind = MutationKind.GAUSSIAN if args.mutation == "gaussian" else MutationKind.ROUNDING
@@ -273,13 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--table", required=True, help="table artifact to export")
     p_export.add_argument("--format", required=True, help="data, header or memh")
     p_export.add_argument("--scale-exp", type=int, default=None)
-    p_export.add_argument("--frac-bits", type=int, default=5)
-    p_export.add_argument("--quant-bits", type=int, default=8)
-    p_export.add_argument("--slope-bits", type=int, default=16)
-    p_export.add_argument("--intercept-bits", type=int, default=16)
-    p_export.add_argument("--breakpoint-bits", type=int, default=8)
     p_export.add_argument("--name", help="identifier prefix for the header export")
-    p_export.add_argument("--out", default="out", help="output directory")
+    p_export.add_argument("--config", help="JSON run-config file")
+    p_export.add_argument("--out", help="output directory (default: out)")
 
     return parser
 
@@ -288,30 +285,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = _build_config(args)
         if args.command == "fit":
-            cfg = _build_config(args)
             written = cmd_fit(cfg, jobs=args.jobs)
         elif args.command == "eval":
-            if args.function is None and args.config is None:
-                table, _ = read_artifact(args.table)
-                args.function = table.spec.kind.value
-            cfg = _build_config(args)
             written = cmd_eval(cfg, args.table)
         else:
-            written = [
-                cmd_export(
-                    args.table,
-                    args.format,
-                    args.out,
-                    scale_exp=args.scale_exp,
-                    frac_bits=args.frac_bits,
-                    quant_bits=args.quant_bits,
-                    slope_bits=args.slope_bits,
-                    intercept_bits=args.intercept_bits,
-                    breakpoint_bits=args.breakpoint_bits,
-                    name=args.name,
-                )
-            ]
+            written = [cmd_export(cfg, args.table, args.format, args.scale_exp, args.name)]
     except (ConfigError, ValueError, OSError, AccumulatorOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

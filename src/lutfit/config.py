@@ -134,9 +134,14 @@ def _plan_from_value(value, function: Kind):
     """Plan field: a preset name, an inline plan object, or None."""
     if isinstance(value, str):
         try:
-            get_plan(value)
+            preset = get_plan(value)
         except KeyError as exc:
             raise ConfigError(f"invalid field plan: {exc.args[0]}") from None
+        if preset.op_kind is not function:
+            raise ConfigError(
+                f"invalid field plan: preset {value!r} is for {preset.op_kind.value}, "
+                f"not {function.value}"
+            )
         return value
     if value is None or isinstance(value, RangeScalingPlan):
         return value

@@ -47,8 +47,6 @@ class ScaleSweepReport:
 
     per_scale: tuple[tuple[int, float], ...]
     average_mse: float
-    spec: NonLinSpec
-    entry_count: int
 
     def __post_init__(self):
         mean = sum(m for _, m in self.per_scale) / len(self.per_scale)
@@ -78,7 +76,6 @@ def eval_range_q(spec: NonLinSpec, scale: PowTwoScale, qs: QuantSpec) -> tuple[i
 
 def quant_aware_mse(
     table: PwlTable,
-    spec: NonLinSpec,
     scale: PowTwoScale,
     qs: QuantSpec,
     datapath: DatapathConfig,
@@ -88,8 +85,9 @@ def quant_aware_mse(
 
     Inputs are x = S*q for every q whose dequantized value lies in the
     fitted range, run through the datapath in one call; the error is
-    S * int_pwl(q) - f(x).
+    S * int_pwl(q) - f(x), with the range and f of table.spec.
     """
+    spec = table.spec
     if not spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is wide-range; use wide_range_mse")
     qtable = quantize_table(table, scale, qs, frac_bits=datapath.frac_bits)
@@ -103,7 +101,6 @@ def quant_aware_mse(
 
 def sweep_scales(
     table: PwlTable,
-    spec: NonLinSpec,
     exponents=DEFAULT_SCALE_EXPONENTS,
     qs: QuantSpec = QuantSpec(8),
     datapath: DatapathConfig = DatapathConfig(),
@@ -113,19 +110,16 @@ def sweep_scales(
     if not exponents:
         raise ValueError("at least one exponent required")
     per_scale = tuple(
-        (e, quant_aware_mse(table, spec, PowTwoScale(e), qs, datapath)) for e in exponents
+        (e, quant_aware_mse(table, PowTwoScale(e), qs, datapath)) for e in exponents
     )
     return ScaleSweepReport(
         per_scale=per_scale,
         average_mse=sum(m for _, m in per_scale) / len(per_scale),
-        spec=spec,
-        entry_count=table.entries,
     )
 
 
 def wide_range_mse(
     table: PwlTable,
-    spec: NonLinSpec,
     plan: RangeScalingPlan,
     sample_count: int = 1024,
     frac_bits: int = 5,
@@ -135,8 +129,10 @@ def wide_range_mse(
 
     Samples the inner range at the fitness-grid step and each finite
     sub-range at sample_count uniform points; every sample is folded in by
-    select_subrange, evaluated on the fixed-point table and rescaled.
+    select_subrange, evaluated on the fixed-point table, rescaled and
+    compared with the reference of table.spec.
     """
+    spec = table.spec
     if spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is scale-carrying; use sweep_scales")
     qtable = fxp_quantize_table(table, frac_bits=frac_bits, bits=bits)
@@ -145,12 +141,8 @@ def wide_range_mse(
         if math.isfinite(sr.hi):
             xs.append(sr.lo + (sr.hi - sr.lo) * np.arange(sample_count) / sample_count)
     samples = np.concatenate(xs)
-    folded = np.empty_like(samples)
-    rescales = np.empty_like(samples)
-    for k, x in enumerate(samples):
-        scale, rescale = select_subrange(float(x), plan)
-        folded[k] = float(x) * scale.value
-        rescales[k] = rescale
+    exponents, rescales = select_subrange(samples, plan)
+    folded = samples * np.ldexp(1.0, exponents)
     err = rescales * eval_qpwl_real(qtable, folded) - eval_ref(spec, samples)
     return float(err @ err) / samples.size
 

@@ -331,26 +331,34 @@ class RangeScalingPlan:
             raise ValueError("last sub-range must extend to +inf")
 
 
-def select_subrange(x: float, plan: RangeScalingPlan) -> tuple[PowTwoScale, float]:
+def select_subrange(x, plan: RangeScalingPlan):
     """Fold-in scale and output rescale factor for input x.
 
     Inside the inner range: identity scale, rescale 1. Otherwise the
     containing sub-range's scale S' and the rescale S' (div) or sqrt(S')
-    (rsqrt); the caller computes rescale * pwl(x * S').
+    (rsqrt); the caller computes rescale * pwl(x * S'). A float x gives
+    (PowTwoScale, rescale); an array gives the fold-in exponents (an int
+    array) and the rescales (a float array), element by element.
     """
-    if x <= 0:
-        raise DomainError(f"{plan.op_kind.value} input must be positive, got {x}")
+    xs = np.asarray(x, dtype=float)
     lo, hi = plan.inner_range
-    if x < lo:
-        raise DomainError(f"input {x} below inner range [{lo}, {hi}]")
-    if x <= hi:
-        return PowTwoScale(0), 1.0
-    for sr in plan.sub_ranges:
-        if sr.lo <= x < sr.hi:
-            if plan.op_kind is Kind.DIV:
-                return sr.scale, sr.scale.value
-            return sr.scale, math.sqrt(sr.scale.value)
-    raise DomainError(f"input {x} not covered by plan")  # unreachable: last hi is +inf
+    for bad, message in (
+        (~(xs > 0), f"{plan.op_kind.value} input must be positive, got {{}}"),
+        (xs < lo, f"input {{}} below inner range [{lo}, {hi}]"),
+        (xs == math.inf, "input {} not covered by plan"),
+    ):
+        if bad.any():
+            raise DomainError(message.format(xs[bad].flat[0]))
+    # Sub-range k covers [lo_k, lo_{k+1}); x == hi stays in the inner range.
+    k = np.searchsorted([sr.lo for sr in plan.sub_ranges], xs, side="right")
+    exponents = np.array([0] + [sr.scale.exponent for sr in plan.sub_ranges])
+    exponents = exponents[np.where(xs <= hi, 0, k)]
+    rescales = np.ldexp(1.0, exponents)
+    if plan.op_kind is Kind.RSQRT:
+        rescales = np.sqrt(rescales)
+    if xs.ndim == 0:
+        return PowTwoScale(int(exponents)), float(rescales)
+    return exponents, rescales
 
 
 _PLANS: dict[str, RangeScalingPlan] = {
@@ -381,7 +389,3 @@ def get_plan(name: str) -> RangeScalingPlan:
         return _PLANS[name]
     except KeyError:
         raise KeyError(f"unknown plan {name!r}; available: {sorted(_PLANS)}") from None
-
-
-def default_plan(kind: Kind) -> RangeScalingPlan:
-    return get_plan(f"{Kind(kind).value}-int8")

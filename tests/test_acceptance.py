@@ -31,8 +31,8 @@ from lutfit.quant import (
     INT8,
     PowTwoScale,
     breakpoint_deviation,
-    default_plan,
     dequantize,
+    get_plan,
     quantize,
     quantize_table,
 )
@@ -97,11 +97,10 @@ def test_criterion_1_table3_reproduction():
     failures = []
     lines = []
     for (kind, entries), target in TABLE3_RM.items():
-        spec = default_spec(kind)
         averages = []
         for seed in SEEDS:
             table = get_fit(kind, entries, seed)
-            report = sweep_scales(table, spec, exponents=SWEEP, datapath=DP)
+            report = sweep_scales(table, exponents=SWEEP, datapath=DP)
             averages.append(report.average_mse)
         med = statistics.median(averages)
         ok = med <= 3 * target and med <= NNLUT[(kind, entries)]
@@ -135,13 +134,12 @@ def test_criterion_2_wide_range_operators():
     failures = []
     lines = []
     for kind, target in TABLE3_WIDE.items():
-        spec = default_spec(kind)
-        plan = default_plan(kind)
+        plan = get_plan(f"{kind.value}-int8")
         values = []
         for seed in SEEDS:
             cfg = default_ga_config(kind, 8, seed=seed)
             assert cfg.rm_prob == 0.0  # rounding mutation disabled for these
-            values.append(wide_range_mse(get_fit(kind, 8, seed), spec, plan))
+            values.append(wide_range_mse(get_fit(kind, 8, seed), plan))
         med = statistics.median(values)
         ok = med <= 3 * target
         lines.append(f"{kind.value}-8: median {med:.3e} (gate {3 * target:.2e})")
@@ -154,14 +152,13 @@ def test_criterion_2_wide_range_operators():
 
 
 def test_criterion_3_rounding_mutation_large_scale_trend():
-    spec = default_spec(Kind.GELU)
     wins = 0
     detail = []
     for seed in SEEDS:
         t_rm = get_fit(Kind.GELU, 8, seed)
         t_g = get_fit(Kind.GELU, 8, seed, mutation=MutationKind.GAUSSIAN)
-        s_rm = sum(quant_aware_mse(t_rm, spec, PowTwoScale(e), INT8, DP) for e in (-2, -1, 0))
-        s_g = sum(quant_aware_mse(t_g, spec, PowTwoScale(e), INT8, DP) for e in (-2, -1, 0))
+        s_rm = sum(quant_aware_mse(t_rm, PowTwoScale(e), INT8, DP) for e in (-2, -1, 0))
+        s_g = sum(quant_aware_mse(t_g, PowTwoScale(e), INT8, DP) for e in (-2, -1, 0))
         wins += s_rm <= s_g
         detail.append(f"seed {seed}: rm {s_rm:.2e} vs gaussian {s_g:.2e}")
     print(f"ACCEPTANCE 3 (rounding-mutation trend at e in -2..0): {wins}/5 "
@@ -203,9 +200,15 @@ def test_criterion_5_integer_datapath_equivalence():
             for e in range(-6, 1):
                 scale = PowTwoScale(e)
                 qtable = quantize_table(table, scale, INT8, frac_bits=LAMBDA)
-                deviated = np.isin(q, breakpoint_deviation(table, qtable, INT8))
                 s = scale.value
                 x = s * q
+                # deviation from a plain integer compare, independent of segment_index
+                own_idx = (q[:, None] >= np.asarray(qtable.breakpoints_q)).sum(axis=1)
+                own_original = np.asarray(qtable.source_segments)[own_idx]
+                deviated = own_original != float_segment_index(table, x)
+                assert breakpoint_deviation(table, qtable, INT8) == tuple(
+                    int(v) for v in q[deviated]
+                ), (kind, entries, seed, e)
                 err = np.abs(s * int_pwl(q, qtable, DP) - eval_pwl(table, x))
                 int_original = np.asarray(qtable.source_segments)[segment_index(q, qtable)]
                 agree = int_original == float_segment_index(table, x)
@@ -260,7 +263,7 @@ def test_criterion_6_property_suite():
     ok_comp = True
     for kind in (Kind.DIV, Kind.RSQRT):
         wspec = default_spec(kind)
-        plan = default_plan(kind)
+        plan = get_plan(f"{kind.value}-int8")
         from lutfit.quant import select_subrange
 
         for x in [sr.lo for sr in plan.sub_ranges]:

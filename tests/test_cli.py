@@ -95,6 +95,8 @@ def test_config_errors_name_offending_field():
         config_from_dict({"function": "gelu", "schema_version": 99})
     with pytest.raises(ConfigError, match="field plan: unknown plan 'div-int4'"):
         config_from_dict({"function": "div", "plan": "div-int4"})
+    with pytest.raises(ConfigError, match="field plan: preset 'rsqrt-int8' is for rsqrt"):
+        config_from_dict({"function": "div", "plan": "rsqrt-int8"})
     for key, value in (("seeds", "ab"), ("seeds", [0, 1.5]), ("seeds", [True]),
                        ("scale_exponents", ["x"]), ("scale_exponents", -5)):
         with pytest.raises(ConfigError, match=f"field {key}"):
@@ -194,11 +196,11 @@ def test_memh_hand_packed_example():
         spec=GELU,
         scale=PowTwoScale(-3),
     )
-    # entry fields: slope 0.25 -> 08 (8b), intercept 4.75 -> 0098 (16b),
+    # entry fields: slope 0.25 -> 0008 (16b), intercept 4.75 -> 0098 (16b),
     # breakpoint padding 0 in the single-entry case
-    text = render_memh(qt, Provenance("h", 0), slope_bits=8, intercept_bits=16, breakpoint_bits=8)
+    text = render_memh(qt, Provenance("h", 0), param_bits=16, breakpoint_bits=8)
     lines = [l for l in text.splitlines() if not l.startswith("//")]
-    assert lines == ["08009800"]
+    assert lines == ["0008009800"]
 
 
 def test_memh_breakpoint_field_and_saturation_pattern():
@@ -210,10 +212,10 @@ def test_memh_breakpoint_field_and_saturation_pattern():
         spec=GELU,
         scale=PowTwoScale(-3),
     )
-    text = render_memh(qt, Provenance("h", 0), slope_bits=8, intercept_bits=16, breakpoint_bits=8)
+    text = render_memh(qt, Provenance("h", 0), param_bits=16, breakpoint_bits=8)
     lines = [l for l in text.splitlines() if not l.startswith("//")]
-    assert lines[0] == "080098FB"  # breakpoint -5 -> 0xFB two's complement
-    assert lines[1] == "80FFFF00"  # minimum slope pattern encodes without wrap
+    assert lines[0] == "00080098FB"  # breakpoint -5 -> 0xFB two's complement
+    assert lines[1] == "FF80FFFF00"  # negative fields stay inside their own width
     assert "msb-first" in text
 
 
@@ -227,7 +229,7 @@ def test_memh_rejects_unrepresentable_fields():
         scale=PowTwoScale(0),
     )
     with pytest.raises(ValueError):
-        render_memh(qt, Provenance("h", 0), slope_bits=8, intercept_bits=16, breakpoint_bits=8)
+        render_memh(qt, Provenance("h", 0), param_bits=8, breakpoint_bits=8)
 
 
 def test_c_header_render():
@@ -346,7 +348,7 @@ def test_cmd_export_wide_range_table(tmp_path):
     cfg = replace(cfg, ga=replace(cfg.ga, population_size=10, iterations=5))
     paths = cmd_fit(cfg)
     # wide-range tables need no scale exponent; fields are 8-bit fixed point
-    path = cmd_export(paths[0], "data", str(tmp_path / "exp"))
+    path = cmd_export(replace(cfg, out_dir=str(tmp_path / "exp")), paths[0], "data")
     qt, _ = read_artifact(path)
     assert qt.scale is None
     assert all(-128 <= v <= 127 for v in qt.slopes_fxp + qt.intercepts_fxp + qt.breakpoints_q)
@@ -365,15 +367,16 @@ def test_cmd_export_formats_and_round_trip(tmp_path):
     paths = cmd_fit(cfg)
     table_path = paths[0]
 
-    data_path = cmd_export(table_path, "data", str(tmp_path / "exp"), scale_exp=-5)
+    exp_cfg = replace(cfg, out_dir=str(tmp_path / "exp"))
+    data_path = cmd_export(exp_cfg, table_path, "data", scale_exp=-5)
     qt, _ = read_artifact(data_path)
-    again = cmd_export(data_path, "data", str(tmp_path / "exp2"))
+    again = cmd_export(replace(cfg, out_dir=str(tmp_path / "exp2")), data_path, "data")
     qt2, _ = read_artifact(again)
     assert qt2 == qt  # export/import round trip is the identity
 
-    header_path = cmd_export(table_path, "header", str(tmp_path / "exp"), scale_exp=-5)
+    header_path = cmd_export(exp_cfg, table_path, "header", scale_exp=-5)
     assert open(header_path).read().startswith("/*")
-    memh_path = cmd_export(table_path, "memh", str(tmp_path / "exp"), scale_exp=-5)
+    memh_path = cmd_export(exp_cfg, table_path, "memh", scale_exp=-5)
     body = [l for l in open(memh_path).read().splitlines() if not l.startswith("//")]
     assert len(body) == qt.entries
 
@@ -382,12 +385,12 @@ def test_cmd_export_requires_scale_for_scale_carrying(tmp_path):
     cfg = tiny_config(tmp_path)
     paths = cmd_fit(cfg)
     with pytest.raises(ConfigError, match="scale-exp"):
-        cmd_export(paths[0], "memh", str(tmp_path / "exp"))
+        cmd_export(cfg, paths[0], "memh")
 
 
 def test_cmd_export_lists_supported_formats(tmp_path):
     with pytest.raises(ConfigError, match="data, header, memh"):
-        cmd_export("whatever.json", "yaml", str(tmp_path))
+        cmd_export(tiny_config(tmp_path), "whatever.json", "yaml")
 
 
 def test_main_end_to_end(tmp_path, capsys):
@@ -467,6 +470,56 @@ def test_main_conflicting_function_flag(tmp_path, capsys):
     ])
     assert rc == 2
     assert "conflicts" in capsys.readouterr().err
+
+
+def _write_gelu_fit(path: str):
+    bps = BreakpointSet(points=(-1.3, 0.7), search_range=GELU.search_range)
+    write_fit_artifact(path, fxp_round_table(derive_table(GELU, bps), 5), Provenance("abc", 0))
+
+
+def test_main_export_field_widths_come_from_config(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "gelu", "datapath": {"param_bits": 12}}))
+    out = str(tmp_path / "out")
+    for fmt in ("data", "memh", "header"):
+        argv = ["export", "--table", table_path, "--format", fmt, "--scale-exp", "-5",
+                "--config", str(cfg_path), "--out", out]
+        assert main(argv) == 0
+    capsys.readouterr()
+    qt, _ = read_artifact(os.path.join(out, "t.qtable.json"))
+    text = open(os.path.join(out, "t.memh")).read()
+    assert "slope[12] intercept[12] breakpoint[8]" in text
+    words = [l for l in text.splitlines() if not l.startswith("//")]
+    assert {len(w) for w in words} == {8}  # 12 + 12 + 8 bits
+
+    def field(word, shift, bits):
+        v = (int(word, 16) >> shift) & ((1 << bits) - 1)
+        return v - (1 << bits) if v >> (bits - 1) else v
+
+    assert [field(w, 20, 12) for w in words] == list(qt.slopes_fxp)
+    assert [field(w, 8, 12) for w in words] == list(qt.intercepts_fxp)
+    assert [field(w, 0, 8) for w in words[:-1]] == list(qt.breakpoints_q)
+    header = open(os.path.join(out, "t.h")).read()
+    assert "static const int16_t T_SLOPES[3]" in header
+    assert "static const int8_t T_BREAKPOINTS[2]" in header
+
+
+def test_main_config_function_must_match_artifact(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "exp"}))
+    out = str(tmp_path / "out")
+    for argv in (
+        ["eval", "--table", table_path],
+        ["export", "--table", table_path, "--format", "memh", "--scale-exp", "-5"],
+    ):
+        assert main([*argv, "--config", str(cfg_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "artifact function gelu does not match config function exp" in err, err
+    assert not os.path.exists(out)
 
 # Two fixed tables written as fit artifacts, exported in every format by the
 # CLI; the sha256 of each output pins the export bytes.

@@ -22,7 +22,7 @@ from lutfit.pwl import (
     fxp_round_table,
     repaired_breakpoints,
 )
-from lutfit.quant import INT8, PowTwoScale, default_plan, quantize_table
+from lutfit.quant import INT8, PowTwoScale, get_plan, quantize_table
 
 GELU = default_spec(Kind.GELU)
 EXP = default_spec(Kind.EXP)
@@ -48,7 +48,7 @@ def test_quant_aware_mse_exact_on_representable_linear_stub():
     table = fxp_round_table(derive_table(GELU, bps, ref=lambda x: 0.5 * linear(x) + 0.25), 5)
     for e in (-5, -2, 0):
         mse = quant_aware_mse(
-            table, GELU, PowTwoScale(e), INT8, DatapathConfig(),
+            table, PowTwoScale(e), INT8, DatapathConfig(),
             ref=lambda x: 0.5 * linear(x) + 0.25,
         )
         assert mse < 1e-28
@@ -59,7 +59,7 @@ def test_quant_aware_mse_matches_naive_reimplementation():
     table = fxp_round_table(derive_table(GELU, bps), 5)
     scale = PowTwoScale(-3)
     dp = DatapathConfig()
-    got = quant_aware_mse(table, GELU, scale, INT8, dp)
+    got = quant_aware_mse(table, scale, INT8, dp)
 
     # independent accumulation: quantize the table, walk the dequantized grid
     qt = quantize_table(table, scale, INT8, frac_bits=dp.frac_bits)
@@ -76,13 +76,11 @@ def test_quant_aware_mse_matches_naive_reimplementation():
 def test_sweep_scales_report_consistency():
     bps = repaired_breakpoints(np.linspace(-2.5, 2.5, 7), GELU.search_range)
     table = fxp_round_table(derive_table(GELU, bps), 5)
-    report = sweep_scales(table, GELU, exponents=(-6, -5, -4))
+    report = sweep_scales(table, exponents=(-6, -5, -4))
     assert [e for e, _ in report.per_scale] == [-6, -5, -4]
     assert report.average_mse == pytest.approx(
         sum(m for _, m in report.per_scale) / 3, rel=1e-14
     )
-    assert report.entry_count == 8
-    assert report.spec == GELU
 
 
 def test_report_rejects_inconsistent_average():
@@ -90,8 +88,6 @@ def test_report_rejects_inconsistent_average():
         ScaleSweepReport(
             per_scale=((-5, 1.0), (-4, 2.0)),
             average_mse=1.9,
-            spec=GELU,
-            entry_count=8,
         )
 
 
@@ -108,7 +104,7 @@ def test_quant_aware_mse_improves_with_finer_fxp():
     for lam in (3, 4, 5, 6):
         table = fxp_round_table(fl, lam)
         dp = DatapathConfig(frac_bits=lam)
-        mses.append(quant_aware_mse(table, GELU, PowTwoScale(-5), INT8, dp))
+        mses.append(quant_aware_mse(table, PowTwoScale(-5), INT8, dp))
     assert mses[-1] < mses[0] / 2
     for prev, nxt, lam in zip(mses, mses[1:], (4, 5, 6)):
         assert nxt <= prev + 4.0 ** -lam
@@ -119,7 +115,7 @@ def test_wide_range_pointwise_composition_through_table():
     # table is exact there and the fixed-point table is within its grid
     bps = BreakpointSet(points=(0.5, 1.0, 2.0), search_range=RSQRT.search_range)
     fl = derive_table(RSQRT, bps)
-    plan = default_plan(Kind.RSQRT)
+    plan = get_plan("rsqrt-int8")
     from lutfit.quant import eval_qpwl_real, fxp_quantize_table, select_subrange
 
     scale, rescale = select_subrange(256.0, plan)
@@ -134,7 +130,7 @@ def test_wide_range_pointwise_composition_through_table():
 def test_wide_range_mse_small_for_good_fit():
     bps = repaired_breakpoints(np.geomspace(0.55, 3.6, 7), RSQRT.search_range)
     table = fxp_round_table(derive_table(RSQRT, bps), 5)
-    mse = wide_range_mse(table, RSQRT, default_plan(Kind.RSQRT))
+    mse = wide_range_mse(table, get_plan("rsqrt-int8"))
     assert 0 < mse < 5e-3
 
 
@@ -142,7 +138,7 @@ def test_wide_range_mse_rejects_scale_carrying():
     bps = repaired_breakpoints([-1.0, 1.0], GELU.search_range)
     table = fxp_round_table(derive_table(GELU, bps), 5)
     with pytest.raises(ValueError):
-        wide_range_mse(table, GELU, default_plan(Kind.DIV))
+        wide_range_mse(table, get_plan("div-int8"))
 
 
 def test_oracle_linear_target_ties_to_first():

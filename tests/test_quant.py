@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lutfit.nonlin import DomainError, Kind, default_spec, eval_ref
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table, repaired_breakpoints
@@ -14,7 +16,6 @@ from lutfit.quant import (
     RangeScalingPlan,
     SubRange,
     breakpoint_deviation,
-    default_plan,
     dequantize,
     eval_qpwl_real,
     fxp_quantize_table,
@@ -248,6 +249,9 @@ def test_select_subrange_domain_errors():
     for x in (0.0, -3.0, 0.25):
         with pytest.raises(DomainError):
             select_subrange(x, plan)
+    for bad in (0.0, 0.25, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            select_subrange(np.array([1.0, bad, 100.0]), plan)
 
 
 def test_composition_identity_exact():
@@ -255,13 +259,48 @@ def test_composition_identity_exact():
     rng = np.random.default_rng(17)
     for kind in (Kind.DIV, Kind.RSQRT):
         spec = default_spec(kind)
-        plan = default_plan(kind)
+        plan = get_plan(f"{kind.value}-int8")
         boundaries = [sr.lo for sr in plan.sub_ranges]
         interior = list(rng.uniform(4.0, 2000.0, size=200))
         for x in boundaries + interior:
             scale, rescale = select_subrange(float(x), plan)
             assert rescale * eval_ref(spec, float(x) * scale.value) == eval_ref(spec, float(x))
 
+
+
+def reference_fold(x: float, plan: RangeScalingPlan) -> tuple[int, float]:
+    """Fold-in exponent and rescale of one input, by walking the sub-ranges."""
+    if x <= plan.inner_range[1]:
+        return 0, 1.0
+    for sr in plan.sub_ranges:
+        if sr.lo <= x < sr.hi:
+            rescale = sr.scale.value
+            return sr.scale.exponent, rescale if plan.op_kind is Kind.DIV else math.sqrt(rescale)
+    raise AssertionError(f"{x} not covered")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from((Kind.DIV, Kind.RSQRT)),
+    xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_plan_folding_properties(kind, xs):
+    spec = default_spec(kind)
+    plan = get_plan(f"{kind.value}-int8")
+    lo, hi = plan.inner_range
+    # random points in [inner lo, 1e6] plus the inner hi and every sub-range edge
+    x = np.array([lo + u * (1e6 - lo) for u in xs] + [hi] + [sr.lo for sr in plan.sub_ranges])
+    exponents, rescales = select_subrange(x, plan)
+    assert exponents.dtype.kind == "i"
+    for k, xk in enumerate(x.tolist()):
+        scale, rescale = select_subrange(xk, plan)
+        assert (scale.exponent, rescale) == (int(exponents[k]), float(rescales[k]))
+        assert (scale.exponent, rescale) == reference_fold(xk, plan)
+        folded = xk * scale.value
+        sr = next((r for r in plan.sub_ranges if r.lo <= xk < r.hi), None)
+        if sr is None or math.isfinite(sr.hi):
+            assert lo <= folded <= hi, (xk, folded)
+        assert rescale * eval_ref(spec, folded) == eval_ref(spec, xk)
 
 def test_breakpoint_deviation_detects_round_down():
     table = gelu_table(points=(1.3,))
