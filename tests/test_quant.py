@@ -267,7 +267,6 @@ def test_composition_identity_exact():
             assert rescale * eval_ref(spec, float(x) * scale.value) == eval_ref(spec, float(x))
 
 
-
 def reference_fold(x: float, plan: RangeScalingPlan) -> tuple[int, float]:
     """Fold-in exponent and rescale of one input, by walking the sub-ranges."""
     if x <= plan.inner_range[1]:
