@@ -88,9 +88,10 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     return written
 
 
-def _read_table(cfg: RunConfig, table_path: str):
-    """read_artifact, checked against the config's function."""
-    table, provenance = read_artifact(table_path)
+def _read_table(cfg: RunConfig, table_path: str, artifact=None):
+    """read_artifact (unless the artifact is given), checked against the
+    config's function."""
+    table, provenance = artifact or read_artifact(table_path)
     if table.spec.kind != cfg.function:
         raise ConfigError(
             f"artifact function {table.spec.kind.value} does not match config "
@@ -99,10 +100,11 @@ def _read_table(cfg: RunConfig, table_path: str):
     return table, provenance
 
 
-def cmd_eval(cfg: RunConfig, table_path: str) -> list[str]:
+def cmd_eval(cfg: RunConfig, table_path: str, artifact=None) -> list[str]:
     """Evaluate a fitted table artifact; writes a per-scale CSV and a JSON
-    summary for scale-carrying operators, a JSON summary for wide-range ones."""
-    table, provenance = _read_table(cfg, table_path)
+    summary for scale-carrying operators, a JSON summary for wide-range ones.
+    artifact is read_artifact(table_path) when the caller has read it."""
+    table, provenance = _read_table(cfg, table_path, artifact)
     if not isinstance(table, PwlTable):
         raise ConfigError(f"{table_path} is not a fitted-table artifact")
     stem, _ = os.path.splitext(os.path.basename(table_path))
@@ -152,18 +154,22 @@ def cmd_export(
     fmt: str,
     scale_exp: int | None = None,
     name: str | None = None,
+    artifact=None,
 ) -> str:
     """Export a table artifact in one of the hardware formats; returns the path.
 
     The format is the config's datapath: datapath.frac_bits fractional bits,
     the cfg.quant input format, slope and intercept fields at
-    datapath.param_bits and breakpoint fields at datapath.input_bits.
+    datapath.param_bits and breakpoint fields at datapath.input_bits. A
+    quantized-table artifact is exported as stored, so its frac_bits must be
+    the config's. artifact is read_artifact(table_path) when the caller has
+    read it.
     """
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(
             f"unsupported format {fmt!r}; supported formats: {', '.join(EXPORT_FORMATS)}"
         )
-    table, prov_dict = _read_table(cfg, table_path)
+    table, prov_dict = _read_table(cfg, table_path, artifact)
     provenance = Provenance(
         config_hash=prov_dict.get("config_hash", "unknown"),
         seed=prov_dict.get("seed", -1),
@@ -171,6 +177,11 @@ def cmd_export(
     )
     dp = cfg.datapath
     if isinstance(table, QPwlTable):
+        if table.frac_bits != dp.frac_bits:
+            raise ConfigError(
+                f"artifact frac_bits {table.frac_bits} does not match config "
+                f"datapath.frac_bits {dp.frac_bits}"
+            )
         qtable = table
     elif table.spec.scale_carrying:
         if scale_exp is None:
@@ -206,10 +217,10 @@ def _parse_ints(text: str, field: str) -> tuple[int, ...]:
         raise ConfigError(f"invalid field {field}: {text!r}") from None
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, artifact_function: Kind | None = None) -> RunConfig:
     """The run config of a command: --config or the stock config of the
-    function, with the command's flags applied. Without either, eval and
-    export take the function from their table artifact."""
+    function, with the command's flags applied. Without either, the function
+    is artifact_function, that of the table artifact eval and export read."""
     function = getattr(args, "function", None)
     if args.config:
         cfg = load_config(args.config)
@@ -222,8 +233,7 @@ def _build_config(args) -> RunConfig:
                 f"--entries {args.entries} conflicts with config entries {cfg.entries}"
             )
     else:
-        if not function and getattr(args, "table", None):
-            function = read_artifact(args.table)[0].spec.kind
+        function = function or artifact_function
         if not function:
             raise ConfigError("missing field function: pass --function or --config")
         cfg = default_run_config(function, getattr(args, "entries", None) or 8)
@@ -285,13 +295,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
         if args.command == "fit":
-            written = cmd_fit(cfg, jobs=args.jobs)
-        elif args.command == "eval":
-            written = cmd_eval(cfg, args.table)
+            written = cmd_fit(_build_config(args), jobs=args.jobs)
         else:
-            written = [cmd_export(cfg, args.table, args.format, args.scale_exp, args.name)]
+            artifact = read_artifact(args.table)
+            cfg = _build_config(args, artifact[0].spec.kind)
+            if args.command == "eval":
+                written = cmd_eval(cfg, args.table, artifact)
+            else:
+                written = [cmd_export(cfg, args.table, args.format, args.scale_exp, args.name,
+                                      artifact)]
     except (ConfigError, ValueError, OSError, AccumulatorOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -332,13 +332,13 @@ class RangeScalingPlan:
 
 
 def select_subrange(x, plan: RangeScalingPlan):
-    """Fold-in scale and output rescale factor for input x.
+    """Fold-in exponent and output rescale factor for input x.
 
-    Inside the inner range: identity scale, rescale 1. Otherwise the
-    containing sub-range's scale S' and the rescale S' (div) or sqrt(S')
-    (rsqrt); the caller computes rescale * pwl(x * S'). A float x gives
-    (PowTwoScale, rescale); an array gives the fold-in exponents (an int
-    array) and the rescales (a float array), element by element.
+    Inside the inner range: exponent 0, rescale 1. Otherwise the exponent of
+    the containing sub-range's scale S' and the rescale S' (div) or sqrt(S')
+    (rsqrt); the caller computes rescale * pwl(x * S'). A float x gives an
+    int and a float, an array gives an int array and a float array, element
+    by element.
     """
     xs = np.asarray(x, dtype=float)
     lo, hi = plan.inner_range
@@ -357,7 +357,7 @@ def select_subrange(x, plan: RangeScalingPlan):
     if plan.op_kind is Kind.RSQRT:
         rescales = np.sqrt(rescales)
     if xs.ndim == 0:
-        return PowTwoScale(int(exponents)), float(rescales)
+        return int(exponents), float(rescales)
     return exponents, rescales
 
 

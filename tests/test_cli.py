@@ -205,7 +205,7 @@ def test_memh_hand_packed_example():
 
 def test_memh_breakpoint_field_and_saturation_pattern():
     qt = QPwlTable(
-        slopes_fxp=(8, -128),
+        slopes_fxp=(8, -32768),
         intercepts_fxp=(152, -1),
         breakpoints_q=(-5,),
         frac_bits=5,
@@ -215,8 +215,15 @@ def test_memh_breakpoint_field_and_saturation_pattern():
     text = render_memh(qt, Provenance("h", 0), param_bits=16, breakpoint_bits=8)
     lines = [l for l in text.splitlines() if not l.startswith("//")]
     assert lines[0] == "00080098FB"  # breakpoint -5 -> 0xFB two's complement
-    assert lines[1] == "FF80FFFF00"  # negative fields stay inside their own width
+    assert lines[1] == "8000FFFF00"  # minimum slope pattern encodes without wrap
     assert "msb-first" in text
+    # the same boundary at 8-bit parameter fields
+    qt8 = QPwlTable(
+        slopes_fxp=(-128,), intercepts_fxp=(-1,), breakpoints_q=(), frac_bits=5, spec=GELU,
+        scale=PowTwoScale(-3),
+    )
+    text = render_memh(qt8, Provenance("h", 0), param_bits=8, breakpoint_bits=8)
+    assert [l for l in text.splitlines() if not l.startswith("//")] == ["80FF00"]
 
 
 def test_memh_rejects_unrepresentable_fields():
@@ -520,6 +527,28 @@ def test_main_config_function_must_match_artifact(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "artifact function gelu does not match config function exp" in err, err
     assert not os.path.exists(out)
+
+
+def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
+    out = str(tmp_path / "out")
+    argv = ["export", "--table", table_path, "--format", "data", "--scale-exp", "-5"]
+    assert main([*argv, "--out", out]) == 0
+    qtable_path = capsys.readouterr().out.strip()
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "gelu", "datapath": {"frac_bits": 6}}))
+    out6 = str(tmp_path / "out6")
+    for fmt in ("data", "header", "memh"):
+        argv = ["export", "--table", qtable_path, "--format", fmt, "--config", str(cfg_path),
+                "--out", out6]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "artifact frac_bits 5 does not match config datapath.frac_bits 6" in err, err
+    assert not os.path.exists(out6)
+    # the stock config (frac_bits 5) exports the same qtable
+    assert main(["export", "--table", qtable_path, "--format", "header", "--out", out6]) == 0
+
 
 # Two fixed tables written as fit artifacts, exported in every format by the
 # CLI; the sha256 of each output pins the export bytes.

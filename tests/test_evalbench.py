@@ -118,12 +118,12 @@ def test_wide_range_pointwise_composition_through_table():
     plan = get_plan("rsqrt-int8")
     from lutfit.quant import eval_qpwl_real, fxp_quantize_table, select_subrange
 
-    scale, rescale = select_subrange(256.0, plan)
-    exact = rescale * eval_pwl(fl, 256.0 * scale.value)
+    e, rescale = select_subrange(256.0, plan)
+    exact = rescale * eval_pwl(fl, math.ldexp(256.0, e))
     assert exact == pytest.approx(eval_ref(RSQRT, 256.0), abs=1e-15)
 
     qt = fxp_quantize_table(fxp_round_table(fl, 5), frac_bits=5, bits=8)
-    through_fxp = rescale * eval_qpwl_real(qt, 256.0 * scale.value)
+    through_fxp = rescale * eval_qpwl_real(qt, math.ldexp(256.0, e))
     assert abs(through_fxp - eval_ref(RSQRT, 256.0)) <= rescale * 2 ** -4
 
 
