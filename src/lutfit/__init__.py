@@ -13,7 +13,6 @@ from .evolve import GaConfig, MutationKind, evolve
 from .quant import (
     PowTwoScale,
     QPwlTable,
-    QuantSpec,
     RangeScalingPlan,
     dequantize,
     fxp_quantize_table,
@@ -44,7 +43,6 @@ __all__ = [
     "GaConfig",
     "MutationKind",
     "evolve",
-    "QuantSpec",
     "PowTwoScale",
     "QPwlTable",
     "RangeScalingPlan",

@@ -66,6 +66,11 @@ def _spec_to_dict(spec: NonLinSpec) -> dict:
 _NUMBER = (int, float)
 
 
+def _typed(value, types) -> bool:
+    """isinstance, except that a JSON true/false is not a number."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
 def _field(data: dict, name: str, types, item_types=None, owner: str = ""):
     """data[name], type-checked; a missing or ill-typed field is a ValueError naming it.
 
@@ -75,8 +80,8 @@ def _field(data: dict, name: str, types, item_types=None, owner: str = ""):
     if name not in data:
         raise ValueError(f"artifact is missing field {label}")
     value = data[name]
-    if not isinstance(value, types) or (
-        item_types is not None and not all(isinstance(v, item_types) for v in value)
+    if not _typed(value, types) or (
+        item_types is not None and not all(_typed(v, item_types) for v in value)
     ):
         raise ValueError(f"artifact field {label} has the wrong type: {value!r}")
     return value
@@ -134,8 +139,16 @@ def write_qtable_artifact(path: str, qtable: QPwlTable, provenance: Provenance):
     atomic_write(path, qtable_artifact_text(qtable, provenance))
 
 
+def _provenance_from_dict(data: dict) -> Provenance:
+    return Provenance(
+        config_hash=_field(data, "config_hash", str, owner="provenance"),
+        seed=_field(data, "seed", int, owner="provenance"),
+        tool_version=_field(data, "tool_version", str, owner="provenance"),
+    )
+
+
 def read_artifact(path: str):
-    """Load a JSON artifact; returns (table, provenance dict).
+    """Load a JSON artifact; returns (table, Provenance).
 
     The table is a PwlTable for "fit" artifacts and a QPwlTable for
     "qtable" artifacts.
@@ -150,7 +163,7 @@ def read_artifact(path: str):
     if kind not in ("fit", "qtable"):
         raise ValueError(f"unknown artifact_kind {kind!r}")
     spec = _spec_from_dict(_field(data, "function", dict))
-    provenance = _field(data, "provenance", dict) if "provenance" in data else {}
+    provenance = _provenance_from_dict(_field(data, "provenance", dict))
     if kind == "fit":
         table = PwlTable(
             slopes=tuple(_field(data, "slopes", list, _NUMBER)),

@@ -114,15 +114,10 @@ def cmd_eval(cfg: RunConfig, table_path: str, artifact=None) -> list[str]:
         "function": table.spec.kind.value,
         "entries": table.entries,
         "source": os.path.basename(table_path),
-        "provenance": provenance,
+        "provenance": provenance.to_dict(),
     }
     if table.spec.scale_carrying:
-        report = sweep_scales(
-            table,
-            exponents=cfg.scale_exponents,
-            qs=cfg.quant,
-            datapath=cfg.datapath,
-        )
+        report = sweep_scales(table, cfg.scale_exponents, cfg.datapath)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["scale_exp", "mse"])
@@ -136,12 +131,7 @@ def cmd_eval(cfg: RunConfig, table_path: str, artifact=None) -> list[str]:
     else:
         plan = cfg.scaling_plan()
         summary["plan"] = cfg.plan if isinstance(cfg.plan, str) else "inline"
-        summary["mse"] = wide_range_mse(
-            table,
-            plan,
-            frac_bits=cfg.datapath.frac_bits,
-            bits=cfg.quant.bits,
-        )
+        summary["mse"] = wide_range_mse(table, plan, cfg.datapath)
     report_path = os.path.join(cfg.out_dir, f"{stem}_report.json")
     atomic_write(report_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(report_path)
@@ -159,7 +149,7 @@ def cmd_export(
     """Export a table artifact in one of the hardware formats; returns the path.
 
     The format is the config's datapath: datapath.frac_bits fractional bits,
-    the cfg.quant input format, slope and intercept fields at
+    a signed datapath.input_bits input, slope and intercept fields at
     datapath.param_bits and breakpoint fields at datapath.input_bits. A
     quantized-table artifact is exported as stored, so its frac_bits must be
     the config's. artifact is read_artifact(table_path) when the caller has
@@ -169,12 +159,7 @@ def cmd_export(
         raise ConfigError(
             f"unsupported format {fmt!r}; supported formats: {', '.join(EXPORT_FORMATS)}"
         )
-    table, prov_dict = _read_table(cfg, table_path, artifact)
-    provenance = Provenance(
-        config_hash=prov_dict.get("config_hash", "unknown"),
-        seed=prov_dict.get("seed", -1),
-        tool_version=prov_dict.get("tool_version", "unknown"),
-    )
+    table, provenance = _read_table(cfg, table_path, artifact)
     dp = cfg.datapath
     if isinstance(table, QPwlTable):
         if table.frac_bits != dp.frac_bits:
@@ -188,9 +173,9 @@ def cmd_export(
             raise ConfigError(
                 f"{table.spec.kind.value} export requires --scale-exp (power-of-two exponent)"
             )
-        qtable = quantize_table(table, PowTwoScale(scale_exp), cfg.quant, frac_bits=dp.frac_bits)
+        qtable = quantize_table(table, PowTwoScale(scale_exp), dp.input_bits, dp.frac_bits)
     else:
-        qtable = fxp_quantize_table(table, frac_bits=dp.frac_bits, bits=cfg.quant.bits)
+        qtable = fxp_quantize_table(table, dp.frac_bits, dp.input_bits)
 
     stem, _ = os.path.splitext(os.path.basename(table_path))
     stem = stem.removesuffix(".fit").removesuffix(".qtable")

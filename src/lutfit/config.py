@@ -14,7 +14,7 @@ from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
 from .intsim import DatapathConfig
 from .nonlin import Kind, NonLinSpec, default_spec
-from .quant import PowTwoScale, QuantSpec, RangeScalingPlan, SubRange, get_plan
+from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 
 SCHEMA_VERSION = 1
 
@@ -48,7 +48,6 @@ class RunConfig:
     entries: int = 8
     search_range: tuple[float, float] | None = None
     ga: GaConfig = field(default_factory=GaConfig)
-    quant: QuantSpec = field(default_factory=lambda: QuantSpec(8))
     scale_exponents: tuple[int, ...] = DEFAULT_SCALE_EXPONENTS
     plan: str | RangeScalingPlan | None = None
     datapath: DatapathConfig = field(default_factory=DatapathConfig)
@@ -99,15 +98,13 @@ def default_run_config(
     kind: Kind | str,
     entries: int = 8,
     seeds=(0,),
-    mutation_kind: MutationKind | None = None,
     out_dir: str = "out",
 ) -> RunConfig:
     kind = Kind(kind)
-    base = default_ga_config(kind, entries, mutation_kind)
     return RunConfig(
         function=kind,
         entries=entries,
-        ga=base,
+        ga=default_ga_config(kind, entries),
         plan=None if kind in (Kind.GELU, Kind.HSWISH, Kind.EXP) else f"{kind.value}-int8",
         seeds=tuple(seeds),
         out_dir=out_dir,
@@ -181,7 +178,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "mutation_kind": cfg.ga.mutation_kind.value,
             "gaussian_sigma": cfg.ga.gaussian_sigma,
         },
-        "quant": {"bits": cfg.quant.bits, "signed": cfg.quant.signed},
+        # Schema v1 restates the signed input width as a quant section.
+        "quant": {"bits": cfg.datapath.input_bits, "signed": True},
         "scale_exponents": list(cfg.scale_exponents),
         "plan": _plan_to_value(cfg.plan),
         "datapath": {
@@ -209,6 +207,21 @@ def _require(mapping: dict, key: str, section: str):
     if key not in mapping:
         raise ConfigError(f"missing field {section}.{key}" if section else f"missing field {key}")
     return mapping[key]
+
+
+def _check_quant(quant, input_bits: int):
+    """The quant section only restates the datapath's signed input width."""
+    if not isinstance(quant, dict):
+        raise ConfigError(f"invalid field quant: expected an object, got {quant!r}")
+    bits = quant.get("bits", input_bits)
+    if type(bits) is not int or bits != input_bits:
+        raise ConfigError(
+            f"invalid field quant.bits: {bits!r} does not match datapath.input_bits {input_bits}"
+        )
+    if quant.get("signed", True) is not True:
+        raise ConfigError(
+            f"invalid field quant.signed: the datapath input is signed, got {quant['signed']!r}"
+        )
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -248,14 +261,6 @@ def config_from_dict(data: dict) -> RunConfig:
             f"entries {entries} (expected {entries - 1})"
         )
 
-    quant_data = data.get("quant", {})
-    try:
-        quant = QuantSpec(
-            bits=quant_data.get("bits", 8), signed=quant_data.get("signed", True)
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid field quant: {exc}") from None
-
     dp_data = data.get("datapath", {})
     try:
         datapath = DatapathConfig(
@@ -266,6 +271,7 @@ def config_from_dict(data: dict) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid field datapath: {exc}") from None
+    _check_quant(data.get("quant", {}), datapath.input_bits)
 
     search_range = data.get("search_range")
     output = data.get("output", {})
@@ -274,7 +280,6 @@ def config_from_dict(data: dict) -> RunConfig:
         entries=entries,
         search_range=tuple(search_range) if search_range else None,
         ga=ga,
-        quant=quant,
         scale_exponents=_int_list(data, "scale_exponents", DEFAULT_SCALE_EXPONENTS),
         plan=_plan_from_value(data.get("plan", defaults.plan), function),
         datapath=datapath,

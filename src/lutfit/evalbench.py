@@ -17,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .fxp import int_bounds
 from .intsim import DatapathConfig, int_pwl
 from .nonlin import NonLinSpec, eval_ref
 from .pwl import (
@@ -31,7 +32,6 @@ from .pwl import (
 )
 from .quant import (
     PowTwoScale,
-    QuantSpec,
     RangeScalingPlan,
     dequantize,
     eval_qpwl_real,
@@ -61,12 +61,14 @@ class ScaleSweepReport:
 DEFAULT_SCALE_EXPONENTS = tuple(range(-6, 0))
 
 
-def eval_range_q(spec: NonLinSpec, scale: PowTwoScale, qs: QuantSpec) -> tuple[int, int]:
-    """Inclusive q bounds whose dequantized values fall in the fitted range."""
+def eval_range_q(spec: NonLinSpec, scale: PowTwoScale, bits: int) -> tuple[int, int]:
+    """Inclusive bounds of the signed bits-wide q whose dequantized values
+    fall in the fitted range."""
     lo, hi = spec.search_range
     s = scale.value
-    q_min = max(qs.q_lo, int(math.ceil(lo / s - 1e-9)))
-    q_max = min(qs.q_hi, int(math.floor(hi / s + 1e-9)))
+    q_lo, q_hi = int_bounds(bits)
+    q_min = max(q_lo, int(math.ceil(lo / s - 1e-9)))
+    q_max = min(q_hi, int(math.floor(hi / s + 1e-9)))
     if q_min > q_max:
         raise ValueError(
             f"no representable inputs in range {spec.search_range} at scale 2^{scale.exponent}"
@@ -77,21 +79,21 @@ def eval_range_q(spec: NonLinSpec, scale: PowTwoScale, qs: QuantSpec) -> tuple[i
 def quant_aware_mse(
     table: PwlTable,
     scale: PowTwoScale,
-    qs: QuantSpec,
     datapath: DatapathConfig,
     ref=None,
 ) -> float:
     """MSE of the integer datapath on the dequantized grid at one scale.
 
-    Inputs are x = S*q for every q whose dequantized value lies in the
-    fitted range, run through the datapath in one call; the error is
-    S * int_pwl(q) - f(x), with the range and f of table.spec.
+    Inputs are x = S*q for every datapath.input_bits-wide q whose
+    dequantized value lies in the fitted range, run through the datapath in
+    one call; the error is S * int_pwl(q) - f(x), with the range and f of
+    table.spec.
     """
     spec = table.spec
     if not spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is wide-range; use wide_range_mse")
-    qtable = quantize_table(table, scale, qs, frac_bits=datapath.frac_bits)
-    q_min, q_max = eval_range_q(spec, scale, qs)
+    qtable = quantize_table(table, scale, datapath.input_bits, datapath.frac_bits)
+    q_min, q_max = eval_range_q(spec, scale, datapath.input_bits)
     q = np.arange(q_min, q_max + 1)
     err = scale.value * int_pwl(q, qtable, datapath) - reference_values(
         spec, dequantize(q, scale), ref
@@ -102,7 +104,6 @@ def quant_aware_mse(
 def sweep_scales(
     table: PwlTable,
     exponents=DEFAULT_SCALE_EXPONENTS,
-    qs: QuantSpec = QuantSpec(8),
     datapath: DatapathConfig = DatapathConfig(),
 ) -> ScaleSweepReport:
     """quant_aware_mse across a list of scale exponents plus their average."""
@@ -110,7 +111,7 @@ def sweep_scales(
     if not exponents:
         raise ValueError("at least one exponent required")
     per_scale = tuple(
-        (e, quant_aware_mse(table, PowTwoScale(e), qs, datapath)) for e in exponents
+        (e, quant_aware_mse(table, PowTwoScale(e), datapath)) for e in exponents
     )
     return ScaleSweepReport(
         per_scale=per_scale,
@@ -121,21 +122,21 @@ def sweep_scales(
 def wide_range_mse(
     table: PwlTable,
     plan: RangeScalingPlan,
+    datapath: DatapathConfig = DatapathConfig(),
     sample_count: int = 1024,
-    frac_bits: int = 5,
-    bits: int = 8,
 ) -> float:
     """Pooled MSE of a wide-range operator through its fixed-point table.
 
-    Samples the inner range at the fitness-grid step and each finite
-    sub-range at sample_count uniform points; every sample is folded in by
-    select_subrange, evaluated on the fixed-point table, rescaled and
-    compared with the reference of table.spec.
+    The table is rounded to datapath.frac_bits fixed point, saturated at
+    datapath.input_bits. Samples the inner range at the fitness-grid step
+    and each finite sub-range at sample_count uniform points; every sample
+    is folded in by select_subrange, evaluated on the fixed-point table,
+    rescaled and compared with the reference of table.spec.
     """
     spec = table.spec
     if spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is scale-carrying; use sweep_scales")
-    qtable = fxp_quantize_table(table, frac_bits=frac_bits, bits=bits)
+    qtable = fxp_quantize_table(table, datapath.frac_bits, datapath.input_bits)
     xs = [fitness_grid(plan.inner_range, FITNESS_STEP)[0]]
     for sr in plan.sub_ranges:
         if math.isfinite(sr.hi):

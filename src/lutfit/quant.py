@@ -26,29 +26,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class QuantSpec:
-    """Integer format of the quantized input."""
-
-    bits: int
-    signed: bool = True
-
-    def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"bits must be >= 2, got {self.bits}")
-
-    @property
-    def q_lo(self) -> int:
-        return int_bounds(self.bits, self.signed)[0]
-
-    @property
-    def q_hi(self) -> int:
-        return int_bounds(self.bits, self.signed)[1]
-
-
-INT8 = QuantSpec(bits=8, signed=True)
-
-
-@dataclass(frozen=True)
 class PowTwoScale:
     """Scaling factor S = 2^exponent."""
 
@@ -59,10 +36,9 @@ class PowTwoScale:
         return math.ldexp(1.0, self.exponent)
 
 
-def quantize(x: float, scale: PowTwoScale, qs: QuantSpec) -> int:
-    """x -> clip(round(x / S), q_lo, q_hi), rounding half up."""
-    q = int(round_half_up(x / scale.value))
-    return min(max(q, qs.q_lo), qs.q_hi)
+def quantize(x: float, scale: PowTwoScale, bits: int) -> int:
+    """x -> round(x / S), rounding half up, saturated to a signed bits-wide integer."""
+    return saturate(round_half_up(x / scale.value), bits)
 
 
 def dequantize(q, scale: PowTwoScale):
@@ -162,22 +138,18 @@ def _collapse(bps_q, slopes, intercepts, context: str):
 
 
 def quantize_table(
-    table: PwlTable, scale: PowTwoScale, qs: QuantSpec, frac_bits: int = 5
+    table: PwlTable, scale: PowTwoScale, bits: int = 8, frac_bits: int = 5
 ) -> QPwlTable:
     """Quantize a scale-carrying table's breakpoints against S.
 
-    Breakpoints become clip(round(p / S)) integers; slopes and intercepts
+    Breakpoints become quantize(p, S, bits) integers; slopes and intercepts
     are stored as frac_bits mantissas unchanged (the runtime shifter applies
     the intercept's division by S). Colliding breakpoints are collapsed with
     a warning, shrinking the effective entry count.
     """
     if not table.spec.scale_carrying:
         raise ValueError(f"{table.spec.kind.value} is wide-range; use fxp_quantize_table")
-    s = scale.value
-    bps_q = [
-        min(max(int(round_half_up(p / s)), qs.q_lo), qs.q_hi)
-        for p in table.breakpoints.points
-    ]
+    bps_q = [quantize(p, scale, bits) for p in table.breakpoints.points]
     slopes = [to_mantissa(k, frac_bits) for k in table.slopes]
     intercepts = [to_mantissa(b, frac_bits) for b in table.intercepts]
     bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
@@ -259,12 +231,10 @@ def segment_index(q, table: QPwlTable):
     return int(idx) if np.isscalar(q) else idx
 
 
-def breakpoint_deviation(
-    table: PwlTable, qtable: QPwlTable, qs: QuantSpec
-) -> tuple[int, ...]:
+def breakpoint_deviation(table: PwlTable, qtable: QPwlTable, bits: int) -> tuple[int, ...]:
     """Quantized inputs whose integer segment differs from the float choice.
 
-    For each q in [q_lo, q_hi] the segment implied by the quantized
+    For each signed bits-wide q the segment implied by the quantized
     breakpoints (mapped back to original segment numbering) is compared with
     the segment the real table selects at S*q. The returned q values are the
     measurable form of breakpoint deviation under scale S.
@@ -274,7 +244,8 @@ def breakpoint_deviation(
     s = qtable.scale.value
     fpts = np.asarray(table.breakpoints.points)
     segments = np.asarray(qtable.source_segments or tuple(range(qtable.entries)))
-    q_values = np.arange(qs.q_lo, qs.q_hi + 1)
+    q_lo, q_hi = int_bounds(bits)
+    q_values = np.arange(q_lo, q_hi + 1)
     int_idx = segment_index(q_values, qtable)
     float_idx = np.searchsorted(fpts, s * q_values, side="right")
     deviated = q_values[segments[int_idx] != float_idx]

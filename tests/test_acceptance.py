@@ -28,7 +28,6 @@ from lutfit.pwl import (
     repaired_breakpoints,
 )
 from lutfit.quant import (
-    INT8,
     PowTwoScale,
     breakpoint_deviation,
     dequantize,
@@ -119,7 +118,7 @@ def test_criterion_1_table3_reproduction():
 
     # at the natural 8-bit scale all fitted breakpoints survive quantization
     for seed in SEEDS:
-        qt = quantize_table(get_fit(Kind.GELU, 8, seed), PowTwoScale(-5), INT8)
+        qt = quantize_table(get_fit(Kind.GELU, 8, seed), PowTwoScale(-5), 8)
         assert qt.dropped_segments == ()
     slowest = max(_fit_seconds.values())
     print(f"ACCEPTANCE 1 (operator MSE, {len(TABLE3_RM)} cells, "
@@ -157,8 +156,8 @@ def test_criterion_3_rounding_mutation_large_scale_trend():
     for seed in SEEDS:
         t_rm = get_fit(Kind.GELU, 8, seed)
         t_g = get_fit(Kind.GELU, 8, seed, mutation=MutationKind.GAUSSIAN)
-        s_rm = sum(quant_aware_mse(t_rm, PowTwoScale(e), INT8, DP) for e in (-2, -1, 0))
-        s_g = sum(quant_aware_mse(t_g, PowTwoScale(e), INT8, DP) for e in (-2, -1, 0))
+        s_rm = sum(quant_aware_mse(t_rm, PowTwoScale(e), DP) for e in (-2, -1, 0))
+        s_g = sum(quant_aware_mse(t_g, PowTwoScale(e), DP) for e in (-2, -1, 0))
         wins += s_rm <= s_g
         detail.append(f"seed {seed}: rm {s_rm:.2e} vs gaussian {s_g:.2e}")
     print(f"ACCEPTANCE 3 (rounding-mutation trend at e in -2..0): {wins}/5 "
@@ -199,14 +198,14 @@ def test_criterion_5_integer_datapath_equivalence():
             table = get_fit(kind, entries, seed)
             for e in range(-6, 1):
                 scale = PowTwoScale(e)
-                qtable = quantize_table(table, scale, INT8, frac_bits=LAMBDA)
+                qtable = quantize_table(table, scale, 8, frac_bits=LAMBDA)
                 s = scale.value
                 x = s * q
                 # deviation from a plain integer compare, independent of segment_index
                 own_idx = (q[:, None] >= np.asarray(qtable.breakpoints_q)).sum(axis=1)
                 own_original = np.asarray(qtable.source_segments)[own_idx]
                 deviated = own_original != float_segment_index(table, x)
-                assert breakpoint_deviation(table, qtable, INT8) == tuple(
+                assert breakpoint_deviation(table, qtable, 8) == tuple(
                     int(v) for v in q[deviated]
                 ), (kind, entries, seed, e)
                 err = np.abs(s * int_pwl(q, qtable, DP) - eval_pwl(table, x))
@@ -255,7 +254,7 @@ def test_criterion_6_property_suite():
     for e in (-6, -3, 0):
         scale = PowTwoScale(e)
         for x in rng.uniform(-100 * scale.value, 100 * scale.value, size=200):
-            back = dequantize(quantize(float(x), scale, INT8), scale)
+            back = dequantize(quantize(float(x), scale, 8), scale)
             ok_rt &= abs(back - x) <= scale.value / 2 + 1e-15
     results.append(("quantize round-trip bound", ok_rt, "|x - deq(q)| <= S/2"))
 
@@ -286,7 +285,7 @@ def test_criterion_6_property_suite():
     # export round-trip identity on the quantized table
     from lutfit.artifacts import Provenance, read_artifact, write_qtable_artifact
 
-    qt = quantize_table(get_fit(Kind.GELU, 8, 0), PowTwoScale(-5), INT8, frac_bits=LAMBDA)
+    qt = quantize_table(get_fit(Kind.GELU, 8, 0), PowTwoScale(-5), 8, frac_bits=LAMBDA)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.qtable.json")
         write_qtable_artifact(path, qt, Provenance("hash", 0))

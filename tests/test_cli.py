@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lutfit.artifacts import (
     Provenance,
@@ -22,10 +24,13 @@ from lutfit.config import (
     default_run_config,
     load_config,
 )
+from lutfit.evalbench import sweep_scales
 from lutfit.evolve import MutationKind
+from lutfit.fxp import int_bounds
+from lutfit.intsim import DatapathConfig
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
-from lutfit.quant import INT8, PowTwoScale, QPwlTable, quantize_table
+from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
 
 from dataclasses import replace
 
@@ -39,10 +44,16 @@ def tiny_config(tmp_path, **kw):
     return cfg
 
 
+def _signed_field(word: int, shift: int, bits: int) -> int:
+    """The two's-complement field of a packed memh word."""
+    v = (word >> shift) & ((1 << bits) - 1)
+    return v - (1 << bits) if v >> (bits - 1) else v
+
+
 def sample_qtable():
     bps = BreakpointSet(points=(-2.0, 0.5, 2.0), search_range=GELU.search_range)
     table = fxp_round_table(derive_table(GELU, bps), 5)
-    return quantize_table(table, PowTwoScale(-5), INT8)
+    return quantize_table(table, PowTwoScale(-5), 8)
 
 
 # --- configuration ---------------------------------------------------------
@@ -157,7 +168,7 @@ def test_fit_artifact_round_trip(tmp_path):
     write_fit_artifact(path, table, Provenance("abc", 7))
     loaded, prov = read_artifact(path)
     assert loaded == table
-    assert prov["seed"] == 7 and prov["config_hash"] == "abc"
+    assert prov == Provenance("abc", 7)
 
 
 def test_qtable_artifact_round_trip(tmp_path):
@@ -180,10 +191,23 @@ def test_read_artifact_names_ill_typed_qtable_field(tmp_path):
     write_qtable_artifact(path, sample_qtable(), Provenance("abc", 0))
     with open(path) as fh:
         data = json.load(fh)
-    data["frac_bits"] = "5"
+    for value in ("5", True):
+        data["frac_bits"] = value
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with pytest.raises(ValueError, match="field frac_bits"):
+            read_artifact(path)
+
+
+def test_read_artifact_requires_provenance(tmp_path):
+    path = str(tmp_path / "t.qtable.json")
+    write_qtable_artifact(path, sample_qtable(), Provenance("abc", 0))
+    with open(path) as fh:
+        data = json.load(fh)
+    del data["provenance"]
     with open(path, "w") as fh:
         json.dump(data, fh)
-    with pytest.raises(ValueError, match="field frac_bits"):
+    with pytest.raises(ValueError, match="missing field provenance"):
         read_artifact(path)
 
 
@@ -224,6 +248,30 @@ def test_memh_breakpoint_field_and_saturation_pattern():
     )
     text = render_memh(qt8, Provenance("h", 0), param_bits=8, breakpoint_bits=8)
     assert [l for l in text.splitlines() if not l.startswith("//")] == ["80FF00"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((8, 12, 16)), st.sampled_from((8, 16)), st.integers(1, 16), st.data())
+def test_memh_words_decode_to_table_fields(param_bits, breakpoint_bits, entries, data):
+    params = st.integers(*int_bounds(param_bits))
+    slopes = data.draw(st.lists(params, min_size=entries, max_size=entries))
+    intercepts = data.draw(st.lists(params, min_size=entries, max_size=entries))
+    breakpoints = sorted(data.draw(st.lists(
+        st.integers(*int_bounds(breakpoint_bits)),
+        min_size=entries - 1, max_size=entries - 1, unique=True,
+    )))
+    qt = QPwlTable(
+        slopes_fxp=tuple(slopes), intercepts_fxp=tuple(intercepts),
+        breakpoints_q=tuple(breakpoints), frac_bits=5, spec=GELU, scale=PowTwoScale(-5),
+    )
+    text = render_memh(qt, Provenance("h", 0), param_bits, breakpoint_bits)
+    words = [int(l, 16) for l in text.splitlines() if not l.startswith("//")]
+    assert len(words) == entries
+    assert all(w >> (2 * param_bits + breakpoint_bits) == 0 for w in words)
+    assert [_signed_field(w, param_bits + breakpoint_bits, param_bits) for w in words] == slopes
+    assert [_signed_field(w, breakpoint_bits, param_bits) for w in words] == intercepts
+    assert [_signed_field(w, 0, breakpoint_bits) for w in words[:-1]] == breakpoints
+    assert _signed_field(words[-1], 0, breakpoint_bits) == 0
 
 
 def test_memh_rejects_unrepresentable_fields():
@@ -271,7 +319,7 @@ def test_cmd_fit_writes_expected_artifacts(tmp_path):
     ]
     table, prov = read_artifact(written[0])
     assert table.entries == 8
-    assert prov["config_hash"] == config_hash(cfg)
+    assert prov.config_hash == config_hash(cfg)
     for v in table.slopes + table.intercepts:
         assert v == round(v * 32) / 32  # lambda = 5 grid
     log = (tmp_path / "out" / "gelu_8e_fitlog.csv").read_text().splitlines()
@@ -306,11 +354,11 @@ def test_cmd_fit_multi_seed_best_selection(tmp_path):
     for p in written:
         if "seed" in os.path.basename(p):
             t, prov = read_artifact(p)
-            per_seed[prov["seed"]] = fitness_mse(t, GELU)
+            per_seed[prov.seed] = fitness_mse(t, GELU)
         elif p.endswith("best.fit.json"):
             best = read_artifact(p)
     best_table, best_prov = best
-    assert best_prov["seed"] == min(per_seed, key=per_seed.get)
+    assert best_prov.seed == min(per_seed, key=per_seed.get)
 
 
 def test_cmd_eval_scale_carrying(tmp_path):
@@ -429,6 +477,9 @@ MALFORMED_FIT = {
     "slopes": lambda d: d.update(slopes="steep"),
     "breakpoints": lambda d: d.pop("breakpoints"),
     "provenance": lambda d: d.update(provenance=[1]),
+    "provenance.seed": lambda d: d["provenance"].update(seed="x; DROP"),
+    "provenance.config_hash": lambda d: d["provenance"].update(config_hash=5),
+    "provenance.tool_version": lambda d: d["provenance"].pop("tool_version"),
 }
 
 
@@ -500,17 +551,48 @@ def test_main_export_field_widths_come_from_config(tmp_path, capsys):
     assert "slope[12] intercept[12] breakpoint[8]" in text
     words = [l for l in text.splitlines() if not l.startswith("//")]
     assert {len(w) for w in words} == {8}  # 12 + 12 + 8 bits
-
-    def field(word, shift, bits):
-        v = (int(word, 16) >> shift) & ((1 << bits) - 1)
-        return v - (1 << bits) if v >> (bits - 1) else v
-
-    assert [field(w, 20, 12) for w in words] == list(qt.slopes_fxp)
-    assert [field(w, 8, 12) for w in words] == list(qt.intercepts_fxp)
-    assert [field(w, 0, 8) for w in words[:-1]] == list(qt.breakpoints_q)
+    words = [int(w, 16) for w in words]
+    assert [_signed_field(w, 20, 12) for w in words] == list(qt.slopes_fxp)
+    assert [_signed_field(w, 8, 12) for w in words] == list(qt.intercepts_fxp)
+    assert [_signed_field(w, 0, 8) for w in words[:-1]] == list(qt.breakpoints_q)
     header = open(os.path.join(out, "t.h")).read()
     assert "static const int16_t T_SLOPES[3]" in header
     assert "static const int8_t T_BREAKPOINTS[2]" in header
+
+
+def test_main_quant_section_only_restates_input_width(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
+    out = str(tmp_path / "out")
+    for quant, field in (({"bits": 16}, "quant.bits"), ({"signed": False}, "quant.signed"),
+                         ([16], "quant")):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"function": "gelu", "quant": quant}))
+        for argv in (
+            ["eval", "--table", table_path],
+            ["export", "--table", table_path, "--format", "memh", "--scale-exp", "-5"],
+        ):
+            assert main([*argv, "--config", str(cfg_path), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert f"invalid field {field}:" in err, err
+    assert not os.path.exists(out)
+
+    # a 16-bit datapath sweeps a 16-bit quantizer, with or without the
+    # quant section restating it
+    table, _ = read_artifact(table_path)
+    per_scale = sweep_scales(table, (-6, -5), DatapathConfig(input_bits=16)).per_scale
+    assert per_scale[0] != sweep_scales(table, (-6,)).per_scale[0]
+    for name, extra in (("wide", {}), ("both", {"quant": {"bits": 16, "signed": True}})):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(
+            {"function": "gelu", "datapath": {"input_bits": 16}, **extra}
+        ))
+        argv = ["eval", "--table", table_path, "--config", str(cfg_path), "--scales=-6,-5",
+                "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        with open(tmp_path / name / "t_report.json") as fh:
+            assert json.load(fh)["per_scale"] == {str(e): m for e, m in per_scale}
+    assert load_config(str(tmp_path / "wide.json")) == load_config(str(tmp_path / "both.json"))
 
 
 def test_main_config_function_must_match_artifact(tmp_path, capsys):

@@ -22,7 +22,7 @@ from lutfit.pwl import (
     fxp_round_table,
     repaired_breakpoints,
 )
-from lutfit.quant import INT8, PowTwoScale, get_plan, quantize_table
+from lutfit.quant import PowTwoScale, get_plan, quantize_table
 
 GELU = default_spec(Kind.GELU)
 EXP = default_spec(Kind.EXP)
@@ -34,11 +34,11 @@ def linear(values):
 
 
 def test_eval_range_restricted_to_fitted_range():
-    assert eval_range_q(GELU, PowTwoScale(-5), INT8) == (-128, 127)
-    assert eval_range_q(GELU, PowTwoScale(0), INT8) == (-4, 4)
-    assert eval_range_q(GELU, PowTwoScale(-4), INT8) == (-64, 64)
-    assert eval_range_q(EXP, PowTwoScale(-6), INT8) == (-128, 0)
-    assert eval_range_q(EXP, PowTwoScale(0), INT8) == (-8, 0)
+    assert eval_range_q(GELU, PowTwoScale(-5), 8) == (-128, 127)
+    assert eval_range_q(GELU, PowTwoScale(0), 8) == (-4, 4)
+    assert eval_range_q(GELU, PowTwoScale(-4), 8) == (-64, 64)
+    assert eval_range_q(EXP, PowTwoScale(-6), 8) == (-128, 0)
+    assert eval_range_q(EXP, PowTwoScale(0), 8) == (-8, 0)
 
 
 def test_quant_aware_mse_exact_on_representable_linear_stub():
@@ -48,7 +48,7 @@ def test_quant_aware_mse_exact_on_representable_linear_stub():
     table = fxp_round_table(derive_table(GELU, bps, ref=lambda x: 0.5 * linear(x) + 0.25), 5)
     for e in (-5, -2, 0):
         mse = quant_aware_mse(
-            table, PowTwoScale(e), INT8, DatapathConfig(),
+            table, PowTwoScale(e), DatapathConfig(),
             ref=lambda x: 0.5 * linear(x) + 0.25,
         )
         assert mse < 1e-28
@@ -59,10 +59,10 @@ def test_quant_aware_mse_matches_naive_reimplementation():
     table = fxp_round_table(derive_table(GELU, bps), 5)
     scale = PowTwoScale(-3)
     dp = DatapathConfig()
-    got = quant_aware_mse(table, scale, INT8, dp)
+    got = quant_aware_mse(table, scale, dp)
 
     # independent accumulation: quantize the table, walk the dequantized grid
-    qt = quantize_table(table, scale, INT8, frac_bits=dp.frac_bits)
+    qt = quantize_table(table, scale, 8, frac_bits=dp.frac_bits)
     s = scale.value
     q_lo = max(-128, math.ceil(GELU.search_range[0] / s))
     q_hi = min(127, math.floor(GELU.search_range[1] / s))
@@ -104,7 +104,7 @@ def test_quant_aware_mse_improves_with_finer_fxp():
     for lam in (3, 4, 5, 6):
         table = fxp_round_table(fl, lam)
         dp = DatapathConfig(frac_bits=lam)
-        mses.append(quant_aware_mse(table, PowTwoScale(-5), INT8, dp))
+        mses.append(quant_aware_mse(table, PowTwoScale(-5), dp))
     assert mses[-1] < mses[0] / 2
     for prev, nxt, lam in zip(mses, mses[1:], (4, 5, 6)):
         assert nxt <= prev + 4.0 ** -lam

@@ -244,3 +244,28 @@ def test_scalar_eval_matches_array_eval(case, unit_xs):
         scalar = eval_pwl(table, float(x))
         assert type(scalar) is float
         assert scalar == y
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(Kind)), st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=15))
+def test_repair_points_invariants(kind, unit):
+    lo, hi = default_spec(kind).search_range
+    out = repair_points([lo + u * (hi - lo) for u in unit], (lo, hi))
+    assert out.size == len(unit)
+    assert np.all(np.diff(out) >= MIN_GAP - 1e-9)
+    assert out[0] >= lo + MIN_GAP - 1e-9 and out[-1] <= hi - MIN_GAP + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(Kind)), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=15))
+def test_repair_points_noop_on_valid_input(kind, weights):
+    # Valid points: ascending, MIN_GAP plus a share of the spare room apart,
+    # with an unused share left at the top end.
+    lo, hi = default_spec(kind).search_range
+    room = (hi - lo) - (len(weights) + 1) * MIN_GAP
+    pts = [lo]
+    for w in weights:
+        pts.append(pts[-1] + MIN_GAP + room * w / (sum(weights) + 1))
+    pts = np.array(pts[1:])
+    assert pts[-1] < hi - MIN_GAP
+    assert np.array_equal(repair_points(pts, (lo, hi)), pts)

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lutfit.fxp import int_bounds
 from lutfit.nonlin import DomainError, Kind, default_spec, eval_ref
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table, repaired_breakpoints
 from lutfit.quant import (
-    INT8,
     PowTwoScale,
     QPwlTable,
-    QuantSpec,
     RangeScalingPlan,
     SubRange,
     breakpoint_deviation,
@@ -30,19 +29,12 @@ DIV = default_spec(Kind.DIV)
 RSQRT = default_spec(Kind.RSQRT)
 
 
-def test_quant_spec_bounds():
-    assert (INT8.q_lo, INT8.q_hi) == (-128, 127)
-    assert QuantSpec(16).q_lo == -32768
-    u8 = QuantSpec(8, signed=False)
-    assert (u8.q_lo, u8.q_hi) == (0, 255)
-
-
 def test_quantize_examples():
-    assert quantize(0.37, PowTwoScale(-3), INT8) == 3
-    assert quantize(100.0, PowTwoScale(-3), INT8) == 127
-    assert quantize(-100.0, PowTwoScale(-3), INT8) == -128
+    assert quantize(0.37, PowTwoScale(-3), 8) == 3
+    assert quantize(100.0, PowTwoScale(-3), 8) == 127
+    assert quantize(-100.0, PowTwoScale(-3), 8) == -128
     for q in (-128, -5, 0, 17, 127):
-        assert quantize(q * 2 ** -4, PowTwoScale(-4), INT8) == q
+        assert quantize(q * 2 ** -4, PowTwoScale(-4), 8) == q
 
 
 def test_dequantize_exact():
@@ -51,14 +43,41 @@ def test_dequantize_exact():
     assert dequantize(-7, PowTwoScale(2)) == -28.0
 
 
-def test_round_trip_half_step_bound():
-    rng = np.random.default_rng(13)
-    for e in (-6, -3, 0, 2):
-        scale = PowTwoScale(e)
-        s = scale.value
-        for x in rng.uniform(-120 * s, 120 * s, size=100):
-            back = dequantize(quantize(float(x), scale, INT8), scale)
-            assert abs(back - x) <= s / 2 + 1e-15
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((8, 16)),
+    st.integers(-8, 2),
+    st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False),
+)
+def test_round_trip_half_step_bound(bits, e, unit):
+    # unit scales x to the input format's range, overshooting it by half
+    scale = PowTwoScale(e)
+    q_lo, q_hi = int_bounds(bits)
+    x = unit * -q_lo * scale.value
+    q = quantize(x, scale, bits)
+    if x / scale.value < q_lo:
+        assert q == q_lo
+    elif x / scale.value > q_hi:
+        assert q == q_hi
+    else:
+        # floor(y + 0.5) rounds y up when y is within an ulp below a half
+        assert abs(x - dequantize(q, scale)) <= scale.value * (0.5 + 2.0 ** -36)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((Kind.GELU, Kind.HSWISH, Kind.EXP)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=15),
+    st.sampled_from((8, 16)),
+    st.integers(-10, 0),
+)
+def test_quantize_table_breakpoints_are_collapsed_quantize(kind, unit, bits, e):
+    spec = default_spec(kind)
+    lo, hi = spec.search_range
+    bps = repaired_breakpoints([lo + u * (hi - lo) for u in unit], spec.search_range)
+    scale = PowTwoScale(e)
+    qt = quantize_table(fxp_round_table(derive_table(spec, bps), 5), scale, bits)
+    assert qt.breakpoints_q == tuple(sorted({quantize(p, scale, bits) for p in bps.points}))
 
 
 def gelu_table(points=(-2.5, -1.25, 0.5, 1.75)):
@@ -68,7 +87,7 @@ def gelu_table(points=(-2.5, -1.25, 0.5, 1.75)):
 
 def test_quantize_table_breakpoint_arithmetic():
     table = gelu_table(points=(-1.37, 0.5, 2.0))
-    qt = quantize_table(table, PowTwoScale(-2), INT8)
+    qt = quantize_table(table, PowTwoScale(-2), 8)
     assert qt.breakpoints_q[0] == -5  # round(-1.37 / 0.25) = round(-5.48)
     assert qt.breakpoints_q[1] == 2
     assert qt.breakpoints_q[2] == 8
@@ -78,13 +97,13 @@ def test_quantize_table_breakpoint_arithmetic():
 
 def test_quantize_table_unit_scale_rounds_directly():
     table = gelu_table(points=(-2.5, -1.25, 0.75, 2.25))
-    qt = quantize_table(table, PowTwoScale(0), INT8)
+    qt = quantize_table(table, PowTwoScale(0), 8)
     assert qt.breakpoints_q == (-2, -1, 1, 2)  # ties round toward +inf
 
 
 def test_quantize_table_slopes_are_lambda_mantissas():
     table = gelu_table()
-    qt = quantize_table(table, PowTwoScale(-5), INT8, frac_bits=5)
+    qt = quantize_table(table, PowTwoScale(-5), 8, frac_bits=5)
     assert qt.slopes_fxp == tuple(int(round(k * 32)) for k in table.slopes)
     assert qt.intercepts_fxp == tuple(int(round(b * 32)) for b in table.intercepts)
     assert qt.frac_bits == 5
@@ -93,7 +112,7 @@ def test_quantize_table_slopes_are_lambda_mantissas():
 def test_quantize_table_collapses_duplicates(caplog):
     table = gelu_table(points=(0.26, 0.3, 1.5))
     with caplog.at_level(logging.WARNING, logger="lutfit.quant"):
-        qt = quantize_table(table, PowTwoScale(0), INT8)
+        qt = quantize_table(table, PowTwoScale(0), 8)
     # 0.26 and 0.3 both round to 0; the segment between them is unreachable
     assert qt.breakpoints_q == (0, 2)
     assert qt.dropped_segments == (1,)
@@ -106,7 +125,7 @@ def test_quantize_table_collapse_maps_region_past_duplicates():
     # both breakpoints clip to q_lo; everything at or above q_lo belongs to
     # the segment right of the whole run
     table = gelu_table(points=(-3.5, -3.0, 1.0))
-    qt = quantize_table(table, PowTwoScale(-6), INT8)
+    qt = quantize_table(table, PowTwoScale(-6), 8)
     assert qt.breakpoints_q == (-128, 64)
     assert qt.source_segments == (0, 2, 3)
     # q = -100 >= -128 must use original segment 2's parameters
@@ -120,14 +139,14 @@ def test_quantize_table_rejects_wide_range():
     bps = BreakpointSet(points=(1.0, 2.0), search_range=DIV.search_range)
     table = fxp_round_table(derive_table(DIV, bps), 5)
     with pytest.raises(ValueError):
-        quantize_table(table, PowTwoScale(0), INT8)
+        quantize_table(table, PowTwoScale(0), 8)
 
 
 def test_fitted_gelu_breakpoints_stay_distinct_at_natural_scale():
     rng = np.random.default_rng(0)
     for _ in range(5):
         bps = repaired_breakpoints(rng.uniform(-4, 4, size=7), GELU.search_range)
-        qt = quantize_table(fxp_round_table(derive_table(GELU, bps), 5), PowTwoScale(-5), INT8)
+        qt = quantize_table(fxp_round_table(derive_table(GELU, bps), 5), PowTwoScale(-5), 8)
         assert len(set(qt.breakpoints_q)) == len(qt.breakpoints_q)
 
 
@@ -303,16 +322,16 @@ def test_plan_folding_properties(kind, xs):
 
 def test_breakpoint_deviation_detects_round_down():
     table = gelu_table(points=(1.3,))
-    qt = quantize_table(table, PowTwoScale(0), INT8)
+    qt = quantize_table(table, PowTwoScale(0), 8)
     assert qt.breakpoints_q == (1,)
     # float path puts x=1 below the breakpoint, integer path at/above it
-    assert breakpoint_deviation(table, qt, INT8) == (1,)
+    assert breakpoint_deviation(table, qt, 8) == (1,)
 
 
 def test_breakpoint_deviation_empty_for_grid_aligned():
     table = gelu_table(points=(-2.0, 1.0, 3.0))
-    qt = quantize_table(table, PowTwoScale(0), INT8)
-    assert breakpoint_deviation(table, qt, INT8) == ()
+    qt = quantize_table(table, PowTwoScale(0), 8)
+    assert breakpoint_deviation(table, qt, 8) == ()
 
 
 def test_eval_qpwl_real_wide_range_matches_dequantized_params():
