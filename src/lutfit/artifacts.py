@@ -139,11 +139,21 @@ def write_qtable_artifact(path: str, qtable: QPwlTable, provenance: Provenance):
     atomic_write(path, qtable_artifact_text(qtable, provenance))
 
 
+def _comment_safe(data: dict, name: str) -> str:
+    """A provenance string that cannot end the export comment it is written into."""
+    value = _field(data, name, str, owner="provenance")
+    if "*/" in value or any(ord(c) < 32 or ord(c) == 127 for c in value):
+        raise ValueError(
+            f"artifact field provenance.{name} holds '*/' or a control character: {value!r}"
+        )
+    return value
+
+
 def _provenance_from_dict(data: dict) -> Provenance:
     return Provenance(
-        config_hash=_field(data, "config_hash", str, owner="provenance"),
+        config_hash=_comment_safe(data, "config_hash"),
         seed=_field(data, "seed", int, owner="provenance"),
-        tool_version=_field(data, "tool_version", str, owner="provenance"),
+        tool_version=_comment_safe(data, "tool_version"),
     )
 
 

@@ -1,7 +1,7 @@
 """Fixed-point helpers shared by the optimizer, quantizer and simulator.
 
-The project-wide rounding mode is round-half-up (ties toward +inf, i.e.
-floor(x + 0.5), the add-and-truncate rounding hardware implements); every
+The project-wide rounding mode is round-half-up (ties toward +inf, the
+add-and-truncate rounding hardware implements); every
 conversion goes through these helpers so exports stay bit-exact. Ties
 toward +inf also keep half-grid breakpoints out of their own deviation
 zones after quantization, which ties away from zero would not.
@@ -11,8 +11,15 @@ import numpy as np
 
 
 def round_half_up(x):
-    """Round to nearest integer, ties toward +inf. Works on scalars and arrays."""
-    return np.floor(np.asarray(x, dtype=float) + 0.5)
+    """Round to nearest integer, ties toward +inf. Works on scalars and arrays.
+
+    Compares the fraction against a half rather than computing floor(x + 0.5),
+    whose addition rounds a value one ulp below a half up to the next integer.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.floor(x)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which keeps r
+        return r + (x - r >= 0.5)
 
 
 def fxp_round(x, frac_bits: int):
@@ -35,23 +42,21 @@ def to_mantissa(x, frac_bits: int):
     return m.astype(np.int64)
 
 
-def int_bounds(bits: int, signed: bool = True) -> tuple[int, int]:
-    """(lo, hi) representable range of a bits-wide integer."""
+def int_bounds(bits: int) -> tuple[int, int]:
+    """(lo, hi) representable range of a signed bits-wide integer."""
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    if signed:
-        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    return 0, (1 << bits) - 1
+    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
 
 
-def saturate(value: int, bits: int, signed: bool = True) -> int:
-    """Clamp an integer into the bits-wide representable range."""
-    lo, hi = int_bounds(bits, signed)
+def saturate(value: int, bits: int) -> int:
+    """Clamp an integer into the signed bits-wide representable range."""
+    lo, hi = int_bounds(bits)
     return min(max(int(value), lo), hi)
 
 
-def fits(value: int, bits: int, signed: bool = True) -> bool:
-    lo, hi = int_bounds(bits, signed)
+def fits(value: int, bits: int) -> bool:
+    lo, hi = int_bounds(bits)
     return lo <= value <= hi
 
 

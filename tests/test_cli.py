@@ -116,6 +116,11 @@ def test_config_errors_name_offending_field():
         config_from_dict({"function": "gelu", "entries": 8, "ga": {"n_breakpoints": 15}})
     with pytest.raises(ConfigError, match="acc_bits"):
         config_from_dict({"function": "gelu", "datapath": {"acc_bits": 64}})
+    # quant only restates the datapath's signed input width
+    for quant, field in (({"bits": 16}, "quant.bits"), ({"signed": False}, "quant.signed"),
+                         ([16], "quant")):
+        with pytest.raises(ConfigError, match=f"invalid field {field}:"):
+            config_from_dict({"function": "gelu", "quant": quant})
 
 
 def test_config_inline_scaling_plan_round_trip():
@@ -480,17 +485,22 @@ MALFORMED_FIT = {
     "provenance.seed": lambda d: d["provenance"].update(seed="x; DROP"),
     "provenance.config_hash": lambda d: d["provenance"].update(config_hash=5),
     "provenance.tool_version": lambda d: d["provenance"].pop("tool_version"),
+    # strings that would end the header's block comment or the memh comment line
+    "provenance.config_hash:comment-end":
+        lambda d: d["provenance"].update(config_hash="x */ int evil; /*"),
+    "provenance.tool_version:newline": lambda d: d["provenance"].update(tool_version="1\n7f"),
 }
 
 
-@pytest.mark.parametrize("field", sorted(MALFORMED_FIT))
-def test_main_malformed_artifact_names_field(tmp_path, capsys, field):
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIT))
+def test_main_malformed_artifact_names_field(tmp_path, capsys, case):
+    field = case.partition(":")[0]
     bps = BreakpointSet(points=(-1.3, 0.7), search_range=GELU.search_range)
     path = str(tmp_path / "t.fit.json")
     write_fit_artifact(path, fxp_round_table(derive_table(GELU, bps), 5), Provenance("abc", 0))
     with open(path) as fh:
         data = json.load(fh)
-    MALFORMED_FIT[field](data)
+    MALFORMED_FIT[case](data)
     with open(path, "w") as fh:
         json.dump(data, fh)
     out = str(tmp_path / "out")
@@ -560,25 +570,11 @@ def test_main_export_field_widths_come_from_config(tmp_path, capsys):
     assert "static const int8_t T_BREAKPOINTS[2]" in header
 
 
-def test_main_quant_section_only_restates_input_width(tmp_path, capsys):
-    table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
-    out = str(tmp_path / "out")
-    for quant, field in (({"bits": 16}, "quant.bits"), ({"signed": False}, "quant.signed"),
-                         ([16], "quant")):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"function": "gelu", "quant": quant}))
-        for argv in (
-            ["eval", "--table", table_path],
-            ["export", "--table", table_path, "--format", "memh", "--scale-exp", "-5"],
-        ):
-            assert main([*argv, "--config", str(cfg_path), "--out", out]) == 2
-            err = capsys.readouterr().err
-            assert f"invalid field {field}:" in err, err
-    assert not os.path.exists(out)
-
+def test_main_quant_section_only_restates_input_width(tmp_path):
     # a 16-bit datapath sweeps a 16-bit quantizer, with or without the
     # quant section restating it
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
     table, _ = read_artifact(table_path)
     per_scale = sweep_scales(table, (-6, -5), DatapathConfig(input_bits=16)).per_scale
     assert per_scale[0] != sweep_scales(table, (-6,)).per_scale[0]

@@ -60,8 +60,7 @@ def test_round_trip_half_step_bound(bits, e, unit):
     elif x / scale.value > q_hi:
         assert q == q_hi
     else:
-        # floor(y + 0.5) rounds y up when y is within an ulp below a half
-        assert abs(x - dequantize(q, scale)) <= scale.value * (0.5 + 2.0 ** -36)
+        assert abs(x - dequantize(q, scale)) <= scale.value / 2
 
 
 @settings(max_examples=60, deadline=None)
