@@ -10,6 +10,10 @@ so its digest also catches float-order changes in the fitness kernel that
 the fixed-point rounding of the artifacts hides. GELU has no log pin: its
 reference uses math.erf, which CPython takes from the platform's C
 library, so its last bits may differ between platforms.
+
+div and rsqrt have no rounding-mutation grid, so their stock fits use
+Gaussian mutation; the Gaussian pins add two scale-carrying operators, whose
+Gaussian fits clip against other range ends.
 """
 
 import hashlib
@@ -20,6 +24,7 @@ import pytest
 
 from lutfit.cli import cmd_fit
 from lutfit.config import default_run_config
+from lutfit.evolve import MutationKind
 
 GENERATIONS = 60
 
@@ -93,3 +98,39 @@ def test_fit_artifacts_match_golden_digests(tmp_path, function, entries):
         path = os.path.join(str(tmp_path), f"{function}_{entries}e_fitlog.csv")
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == FITLOG_GOLDEN[(function, entries)]
+
+
+# Gaussian-mutation fits of scale-carrying operators: (seed 0, seed 1, fitlog).
+GAUSSIAN_GOLDEN = {
+    ("hswish", 8): (
+        "8d6726eca6bdfdfc45ac9d205ba545aab003a6c3c4430038814568eceb0feb35",
+        "eb5f644c53324e1d58ea1ca4e928b7604cdc2185b49a30baac810fb2c4efa0c3",
+        "a5be8e1ae31e6c042ce7714bd700dc9fb43a26b70de0daaea1c91fc8ebb3fa9a",
+    ),
+    ("exp", 16): (
+        "c4f078c117d634115d80bb1c10b2b24f53242ab7acf4d7425607f3e9db0bf117",
+        "56bb5d95f5509d6b698c23f38edadccdca3663cf83a29f53e0c3fffb24241df5",
+        "692175b2755c2e2c43446c71bd94e31eb929befe67aac673eca01140fad949a1",
+    ),
+}
+
+
+def test_stock_wide_range_fits_are_gaussian():
+    # so the div and rsqrt pins above cover gaussian_mutate
+    for function in ("div", "rsqrt"):
+        for entries in (8, 16):
+            ga = default_run_config(function, entries).ga
+            assert ga.mutation_kind is MutationKind.GAUSSIAN
+
+
+@pytest.mark.parametrize("function,entries", sorted(GAUSSIAN_GOLDEN))
+def test_gaussian_fit_artifacts_match_golden_digests(tmp_path, function, entries):
+    cfg = default_run_config(function, entries, seeds=(0, 1), out_dir=str(tmp_path))
+    ga = replace(cfg.ga, iterations=GENERATIONS, mutation_kind=MutationKind.GAUSSIAN)
+    cmd_fit(replace(cfg, ga=ga))
+    stem = os.path.join(str(tmp_path), f"{function}_{entries}e")
+    digests = []
+    for path in (f"{stem}_seed0.fit.json", f"{stem}_seed1.fit.json", f"{stem}_fitlog.csv"):
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    assert tuple(digests) == GAUSSIAN_GOLDEN[(function, entries)]
