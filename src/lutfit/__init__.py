@@ -24,7 +24,6 @@ from .quant import (
 from .intsim import DatapathConfig, int_pwl, segment_index
 from .evalbench import (
     ScaleSweepReport,
-    brute_force_oracle,
     quant_aware_mse,
     sweep_scales,
     wide_range_mse,
@@ -59,5 +58,4 @@ __all__ = [
     "quant_aware_mse",
     "sweep_scales",
     "wide_range_mse",
-    "brute_force_oracle",
 ]

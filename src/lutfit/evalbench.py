@@ -6,30 +6,17 @@ value lies in the operator's fitted range, and the integer-datapath output
 S * int_pwl(q) is compared against the exact function. Wide-range operators
 are scored across the inner range and every finite sub-range of their
 multi-range scaling plan, through the fixed-point table.
-
-Also hosts the exhaustive breakpoint-enumeration oracle used to bound the
-genetic search from below in tests.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .fxp import int_bounds
 from .intsim import DatapathConfig, int_pwl
 from .nonlin import NonLinSpec, eval_ref
-from .pwl import (
-    FITNESS_STEP,
-    MIN_GAP,
-    BreakpointSet,
-    PwlTable,
-    derive_table,
-    fitness_grid,
-    fitness_scorer,
-    reference_values,
-)
+from .pwl import FITNESS_STEP, PwlTable, fitness_grid, reference_values
 from .quant import (
     PowTwoScale,
     RangeScalingPlan,
@@ -146,43 +133,3 @@ def wide_range_mse(
     folded = samples * np.ldexp(1.0, exponents)
     err = rescales * eval_qpwl_real(qtable, folded) - eval_ref(spec, samples)
     return float(err @ err) / samples.size
-
-
-def brute_force_oracle(
-    spec: NonLinSpec,
-    n_breakpoints: int,
-    grid_step: float,
-    ref=None,
-    budget: int = 100_000,
-) -> PwlTable:
-    """Exhaustively optimal table over grid-restricted breakpoint tuples.
-
-    Enumerates every ascending n_breakpoints-tuple on the grid_step lattice
-    spanning the search range (endpoints included in the candidate count;
-    tuples violating the minimum spacing are skipped) and returns the table
-    with minimal fitness_mse, first-found on ties. Refuses combinatorial
-    budgets above `budget`.
-    """
-    if n_breakpoints > 2:
-        raise ValueError(f"oracle supports n_breakpoints <= 2, got {n_breakpoints}")
-    lo, hi = spec.search_range
-    grid, _ = fitness_grid(spec.search_range, grid_step)
-    n_combos = math.comb(grid.size, n_breakpoints)
-    if n_combos > budget:
-        raise ValueError(f"{n_combos} candidate tuples exceed the budget of {budget}")
-
-    scorer = fitness_scorer(spec, FITNESS_STEP, ref)
-    best_mse = math.inf
-    best_pts = None
-    for pts in combinations(grid.tolist(), n_breakpoints):
-        nodes = (lo, *pts, hi)
-        if min(b - a for a, b in zip(nodes, nodes[1:])) < MIN_GAP - 1e-12:
-            continue
-        mse = scorer(pts)
-        if mse < best_mse:
-            best_mse = mse
-            best_pts = pts
-    if best_pts is None:
-        raise ValueError("no valid breakpoint tuple on the grid")
-    bps = BreakpointSet(points=tuple(best_pts), search_range=spec.search_range)
-    return derive_table(spec, bps, ref=ref)

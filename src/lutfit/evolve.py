@@ -8,6 +8,14 @@ is either Gaussian noise or rounding mutation, which snaps breakpoints onto
 random power-of-two grids so the evolved placement already tolerates the
 grids later imposed by quantization.
 
+Rounding snaps and tournament copies make most individuals exact repeats of
+one scored in the same or the previous generation, so the walk keeps the
+scores of those two generations keyed by breakpoint tuple and scores only
+the rest. Scoring draws nothing from the RNG, so the memo changes no draw
+and no result. Variation runs on plain float tuples: with a handful of
+breakpoints per individual, numpy's per-call overhead would cost more than
+the arithmetic.
+
 The RNG is numpy's counter-based Philox, so a (spec, config) pair fixes the
 returned table bit-exactly on any platform.
 """
@@ -85,7 +93,7 @@ def init_population(
     """Uniform random breakpoint sets, sorted and spacing-repaired."""
     lo, hi = spec.search_range
     draws = rng.uniform(lo, hi, size=(cfg.population_size, cfg.n_breakpoints))
-    return [repaired_breakpoints(row, spec.search_range) for row in draws]
+    return [repaired_breakpoints(row, spec.search_range) for row in draws.tolist()]
 
 
 def crossover(
@@ -105,18 +113,15 @@ def crossover(
         raise ValueError("parents belong to different search ranges")
     n = len(a)
     if span is None:
-        cuts = rng.integers(0, n, size=2)
-        i, j = int(cuts.min()), int(cuts.max())
+        cuts = rng.integers(0, n, size=2).tolist()
+        i, j = min(cuts), max(cuts)
     else:
         i, j = span
         if not 0 <= i <= j < n:
             raise ValueError(f"invalid span {span} for size {n}")
-    pa = np.asarray(a.points)
-    pb = np.asarray(b.points)
-    child_a = pa.copy()
-    child_b = pb.copy()
-    child_a[i : j + 1] = pb[i : j + 1]
-    child_b[i : j + 1] = pa[i : j + 1]
+    pa, pb = a.points, b.points
+    child_a = pa[:i] + pb[i : j + 1] + pa[j + 1 :]
+    child_b = pb[:i] + pa[i : j + 1] + pb[j + 1 :]
     return (
         repaired_breakpoints(child_a, a.search_range),
         repaired_breakpoints(child_b, b.search_range),
@@ -129,8 +134,9 @@ def gaussian_mutate(
     """Perturb every breakpoint with N(0, sigma^2), clip to the range, repair."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    noisy = np.asarray(p.points) + rng.normal(0.0, sigma, size=len(p))
-    np.clip(noisy, spec.search_range[0], spec.search_range[1], out=noisy)
+    lo, hi = spec.search_range
+    noise = rng.normal(0.0, sigma, size=len(p)).tolist()
+    noisy = [min(max(x + e, lo), hi) for x, e in zip(p.points, noise)]
     return repaired_breakpoints(noisy, p.search_range)
 
 
@@ -156,18 +162,17 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
     just off its grid and waste a segment on a near-duplicate breakpoint.
     The result is re-sorted and spacing-repaired as a final guard.
     """
-    out = np.asarray(p.points).copy()
+    out = list(p.points)
     lo, hi = p.search_range
-    draws = rng.random(len(p))
+    draws = rng.random(len(p)).tolist()
     for idx, rand_p in enumerate(draws):
-        i = _rm_exponent(float(rand_p), cfg.rm_prob, cfg.rm_range)
+        i = _rm_exponent(rand_p, cfg.rm_prob, cfg.rm_range)
         if i is None:
             continue
-        snapped = float(fxp_round(out[idx], i))
+        snapped = fxp_round(out[idx], i)
         if not (lo + MIN_GAP <= snapped <= hi - MIN_GAP):
             continue
-        others = np.delete(out, idx)
-        if others.size and np.abs(others - snapped).min() < MIN_GAP:
+        if any(abs(v - snapped) < MIN_GAP for k, v in enumerate(out) if k != idx):
             continue
         out[idx] = snapped
     return repaired_breakpoints(out, p.search_range)
@@ -177,11 +182,8 @@ def _tournament_picks(fitnesses, rng: np.random.Generator, rounds: int = 3) -> l
     """Winner indices of len(fitnesses) independent tournaments (lower MSE
     wins, ties to the lowest index)."""
     n = len(fitnesses)
-    entrants = rng.integers(0, n, size=(n, rounds))
-    picks = []
-    for row in entrants:
-        picks.append(min((int(c) for c in row), key=lambda c: (fitnesses[c], c)))
-    return picks
+    entrants = rng.integers(0, n, size=(n, rounds)).tolist()
+    return [min(row, key=lambda c: (fitnesses[c], c)) for row in entrants]
 
 
 def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable:
@@ -197,7 +199,12 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
     fitness, which is what lets coarse power-of-two placements take hold in
     the population at all.
 
-    The winner of a final fresh scoring pass is returned with slopes and
+    Fitness is memoised over two generations: an individual whose
+    breakpoints were already scored in this or the previous generation
+    reuses that score, which is the same float the scorer would return. At
+    most 2 * population_size scores are held.
+
+    The winner of a final scoring pass is returned with slopes and
     intercepts rounded to fxp_frac_bits fractional bits. If log is given,
     (generation, best_mse) pairs are appended per generation plus a final
     entry for the returned individual.
@@ -211,10 +218,20 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
         lo, hi = spec.search_range
         sigma = 0.05 * (hi - lo)
     n = cfg.population_size
+    scores, prev_scores = {}, {}
+
+    def score(points):
+        f = scores.get(points)
+        if f is None:
+            f = prev_scores.get(points)
+            if f is None:
+                f = scorer(points)
+            scores[points] = f
+        return f
 
     for gen in range(cfg.iterations):
         for i in range(n):
-            fitness[i] = scorer(inds[i].points)
+            fitness[i] = score(inds[i].points)
             rand_c = rng.random()
             rand_m = rng.random()
             if rand_c < cfg.cross_prob and n > 1:
@@ -231,8 +248,9 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
             log.append((gen, min(fitness)))
         picks = _tournament_picks(fitness, rng)
         inds = [inds[k] for k in picks]
+        scores, prev_scores = {}, scores
 
-    fitness = [scorer(ind.points) for ind in inds]
+    fitness = [score(ind.points) for ind in inds]
     best = min(range(n), key=lambda k: (fitness[k], k))
     if log is not None:
         log.append((cfg.iterations, fitness[best]))

@@ -8,6 +8,7 @@ boundary segments extrapolate linearly outside the fitting range.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class BreakpointSet:
         pts = self.points
         if not pts:
             raise ValueError("at least one breakpoint required")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if any(map(operator.ge, pts, pts[1:])):
             raise ValueError(f"breakpoints must be strictly ascending: {pts}")
         if pts[0] < lo or pts[-1] > hi:
             raise ValueError(f"breakpoints {pts} outside range ({lo}, {hi})")
@@ -47,35 +48,37 @@ class BreakpointSet:
         return len(self.points)
 
 
-def repair_points(values, search_range: tuple[float, float], min_gap: float = MIN_GAP) -> np.ndarray:
+def repair_points(values, search_range: tuple[float, float], min_gap: float = MIN_GAP) -> tuple[float, ...]:
     """Sort values and enforce the minimum spacing inside the range.
 
     Points are clipped min_gap inside the range ends (the ends act as
     virtual interpolation nodes), then pushed apart left-to-right with a
-    right-to-left fixup if the last point overflows.
+    right-to-left fixup if the last point overflows. Plain float arithmetic:
+    the inputs are a handful of points, where numpy's per-call overhead
+    would dominate.
     """
-    pts = np.sort(np.asarray(values, dtype=float))
     lo, hi = search_range
-    n = pts.size
+    n = len(values)
     if hi - lo < (n + 1) * min_gap:
         raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {min_gap}")
-    np.clip(pts, lo + min_gap, hi - min_gap, out=pts)
+    floor, ceil = lo + min_gap, hi - min_gap
+    pts = [min(max(v, floor), ceil) for v in sorted(map(float, values))]
     for k in range(1, n):
         if pts[k] < pts[k - 1] + min_gap:
             pts[k] = pts[k - 1] + min_gap
-    if pts[-1] > hi - min_gap:
-        pts[-1] = hi - min_gap
+    if pts[-1] > ceil:
+        pts[-1] = ceil
         for k in range(n - 2, -1, -1):
             if pts[k] > pts[k + 1] - min_gap:
                 pts[k] = pts[k + 1] - min_gap
             else:
                 break
-    return pts
+    return tuple(pts)
 
 
 def repaired_breakpoints(values, search_range, min_gap: float = MIN_GAP) -> BreakpointSet:
-    pts = repair_points(values, search_range, min_gap)
-    return BreakpointSet(points=tuple(pts.tolist()), search_range=search_range)
+    return BreakpointSet(points=repair_points(values, search_range, min_gap),
+                         search_range=search_range)
 
 
 @dataclass(frozen=True)

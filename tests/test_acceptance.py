@@ -16,7 +16,7 @@ import numpy as np
 
 from lutfit.cli import cmd_fit
 from lutfit.config import default_ga_config, default_run_config
-from lutfit.evalbench import brute_force_oracle, quant_aware_mse, sweep_scales, wide_range_mse
+from lutfit.evalbench import quant_aware_mse, sweep_scales, wide_range_mse
 from lutfit.evolve import GaConfig, MutationKind, evolve, make_rng, rounding_mutate
 from lutfit.intsim import DatapathConfig, int_pwl, segment_index
 from lutfit.nonlin import Kind, default_spec, eval_ref
@@ -35,6 +35,8 @@ from lutfit.quant import (
     quantize,
     quantize_table,
 )
+
+from oracle import brute_force_oracle
 
 SEEDS = (0, 1, 2, 3, 4)
 SWEEP = tuple(range(-6, 0))

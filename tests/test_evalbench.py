@@ -6,7 +6,6 @@ import pytest
 from lutfit.evalbench import (
     DEFAULT_SCALE_EXPONENTS,
     ScaleSweepReport,
-    brute_force_oracle,
     eval_range_q,
     quant_aware_mse,
     sweep_scales,
@@ -23,6 +22,8 @@ from lutfit.pwl import (
     repaired_breakpoints,
 )
 from lutfit.quant import PowTwoScale, get_plan, quantize_table
+
+from oracle import brute_force_oracle
 
 GELU = default_spec(Kind.GELU)
 EXP = default_spec(Kind.EXP)

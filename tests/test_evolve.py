@@ -1,6 +1,12 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lutfit.config import default_ga_config
 from lutfit.evolve import (
     GaConfig,
     MutationKind,
@@ -13,9 +19,18 @@ from lutfit.evolve import (
     make_rng,
     rounding_mutate,
 )
+from lutfit.fxp import fxp_round
 from lutfit.nonlin import Kind, default_spec
-from lutfit.pwl import MIN_GAP, BreakpointSet, derive_table, fitness_mse
-from lutfit.evalbench import brute_force_oracle
+from lutfit.pwl import (
+    MIN_GAP,
+    BreakpointSet,
+    GapError,
+    derive_table,
+    fitness_mse,
+    repair_points,
+)
+
+from oracle import brute_force_oracle
 
 GELU = default_spec(Kind.GELU)
 EXP = default_spec(Kind.EXP)
@@ -279,3 +294,223 @@ def test_short_ga_tracks_oracle_on_exp():
     table = evolve(EXP, cfg)
     float_mse = fitness_mse(derive_table(EXP, table.breakpoints), EXP)
     assert float_mse <= 1.3 * oracle_mse
+
+
+def test_memo_scores_under_half_of_the_walk(monkeypatch):
+    # rounding snaps and tournament copies make most individuals repeats, so
+    # a working two-generation memo scores well under half of the walk
+    evolve_module = importlib.import_module("lutfit.evolve")
+    shared_scorer = evolve_module.fitness_scorer
+    calls = []
+
+    def counting_scorer(spec):
+        scorer = shared_scorer(spec)
+
+        def score(points):
+            calls.append(points)
+            return scorer(points)
+
+        return score
+
+    monkeypatch.setattr(evolve_module, "fitness_scorer", counting_scorer)
+    cfg = replace(default_ga_config(Kind.GELU, 8), iterations=60, seed=0)
+    evolve(GELU, cfg)
+    assert len(calls) < 0.5 * cfg.population_size * cfg.iterations
+
+
+# numpy references: the variation operators as first written, on arrays.
+# The float-tuple operators must return the same floats bit for bit and
+# draw the same numbers from the RNG.
+
+
+def reference_repair_points(values, search_range, min_gap=MIN_GAP):
+    pts = np.sort(np.asarray(values, dtype=float))
+    lo, hi = search_range
+    n = pts.size
+    if hi - lo < (n + 1) * min_gap:
+        raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {min_gap}")
+    np.clip(pts, lo + min_gap, hi - min_gap, out=pts)
+    for k in range(1, n):
+        if pts[k] < pts[k - 1] + min_gap:
+            pts[k] = pts[k - 1] + min_gap
+    if pts[-1] > hi - min_gap:
+        pts[-1] = hi - min_gap
+        for k in range(n - 2, -1, -1):
+            if pts[k] > pts[k + 1] - min_gap:
+                pts[k] = pts[k + 1] - min_gap
+            else:
+                break
+    return pts
+
+
+def reference_crossover(a, b, rng):
+    n = len(a)
+    cuts = rng.integers(0, n, size=2)
+    i, j = int(cuts.min()), int(cuts.max())
+    pa = np.asarray(a.points)
+    pb = np.asarray(b.points)
+    child_a = pa.copy()
+    child_b = pb.copy()
+    child_a[i : j + 1] = pb[i : j + 1]
+    child_b[i : j + 1] = pa[i : j + 1]
+    return (
+        reference_repair_points(child_a, a.search_range),
+        reference_repair_points(child_b, b.search_range),
+    )
+
+
+def reference_gaussian_mutate(p, sigma, spec, rng):
+    noisy = np.asarray(p.points) + rng.normal(0.0, sigma, size=len(p))
+    np.clip(noisy, spec.search_range[0], spec.search_range[1], out=noisy)
+    return reference_repair_points(noisy, p.search_range)
+
+
+def reference_rounding_mutate(p, cfg, rng):
+    out = np.asarray(p.points).copy()
+    lo, hi = p.search_range
+    draws = rng.random(len(p))
+    for idx, rand_p in enumerate(draws):
+        i = _rm_exponent(float(rand_p), cfg.rm_prob, cfg.rm_range)
+        if i is None:
+            continue
+        snapped = float(fxp_round(out[idx], i))
+        if not (lo + MIN_GAP <= snapped <= hi - MIN_GAP):
+            continue
+        others = np.delete(out, idx)
+        if others.size and np.abs(others - snapped).min() < MIN_GAP:
+            continue
+        out[idx] = snapped
+    return reference_repair_points(out, p.search_range)
+
+
+def bits(points) -> bytes:
+    return np.asarray(points, dtype=float).tobytes()
+
+
+def next_draws(rng) -> list:
+    return rng.integers(0, 2**63, size=4).tolist()
+
+
+SPECS = [default_spec(kind) for kind in Kind]
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def range_values(lo, hi):
+    """Floats in and just outside [lo, hi]: the ends, a crowd under hi, and
+    values near power-of-two grid points, where rounding snaps collide."""
+    width = hi - lo
+    near_grid = st.builds(
+        lambda k, e, d: k / 2**e + d,
+        st.integers(int(lo) - 1, int(hi) + 1), st.integers(0, 6),
+        st.sampled_from([0.0, 0.005, -0.005, 0.015, -0.015, MIN_GAP]),
+    )
+    return st.one_of(
+        st.floats(lo - 0.1 * width, hi + 0.1 * width),
+        st.sampled_from([lo, hi, lo + MIN_GAP, hi - MIN_GAP]),
+        st.floats(hi - 4 * MIN_GAP, hi),
+        near_grid,
+    )
+
+
+@st.composite
+def repair_cases(draw):
+    """(search range, values): unsorted, some outside the range, with repeats."""
+    lo, hi = draw(st.sampled_from(SPECS)).search_range
+    values = draw(st.lists(range_values(lo, hi), min_size=1, max_size=15))
+    values += draw(st.lists(st.sampled_from(values), max_size=4))
+    return (lo, hi), values
+
+
+@st.composite
+def individuals(draw, spec, n):
+    lo, hi = spec.search_range
+    inside = range_values(lo, hi).map(lambda v: min(max(v, lo), hi))
+    points = draw(st.lists(inside, min_size=n, max_size=n, unique=True))
+    return BreakpointSet(points=tuple(sorted(points)), search_range=spec.search_range)
+
+
+@st.composite
+def mutation_cases(draw, max_size=15):
+    spec = draw(st.sampled_from(SPECS))
+    return spec, draw(individuals(spec, draw(st.integers(1, max_size))))
+
+
+def repair_outcome(fn, values, search_range):
+    try:
+        return bits(fn(values, search_range))
+    except GapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_cases())
+@example(((-4.0, 4.0), [3.98, 3.98, 3.98]))  # collisions, backward fixup
+@example(((-4.0, 4.0), [3.99, -7.0, 3.999, 0.5]))  # clipped at both ends
+@example(((0.5, 4.0), [0.5, 0.5, 0.51, 4.0, 4.0]))
+@example(((-4.0, 4.0), [0.0] * 500))  # overfull range
+def test_repair_points_matches_reference(case):
+    search_range, values = case
+    assert repair_outcome(repair_points, values, search_range) == repair_outcome(
+        reference_repair_points, values, search_range
+    )
+
+
+@st.composite
+def parent_pairs(draw):
+    spec = draw(st.sampled_from(SPECS))
+    n = draw(st.integers(1, 15))
+    return draw(individuals(spec, n)), draw(individuals(spec, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parent_pairs(), SEEDS)
+@example((bset([3.9, 3.95, 3.99]), bset([3.89, 3.91, 3.93])), 0)  # repair fires
+def test_crossover_matches_reference(parents, seed):
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    children = crossover(*parents, rng)
+    expected = reference_crossover(*parents, ref_rng)
+    assert [bits(c.points) for c in children] == [bits(c) for c in expected]
+    assert next_draws(rng) == next_draws(ref_rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation_cases(), st.sampled_from([1e-3, 0.05, 1.0, 10.0]), SEEDS)
+@example((GELU, bset([-3.99, 3.99])), 10.0, 0)  # noise clipped at lo and hi
+def test_gaussian_mutate_matches_reference(case, sigma_share, seed):
+    spec, p = case
+    lo, hi = spec.search_range
+    sigma = sigma_share * (hi - lo)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    out = gaussian_mutate(p, sigma, spec, rng)
+    assert bits(out.points) == bits(reference_gaussian_mutate(p, sigma, spec, ref_rng))
+    assert next_draws(rng) == next_draws(ref_rng)
+
+
+@st.composite
+def rm_configs(draw):
+    ma = draw(st.integers(0, 6))
+    mb = draw(st.integers(ma, ma + 3))
+    rm_prob = draw(st.sampled_from([0.0, 0.5, 1.0])) / (mb - ma + 1)
+    return GaConfig(rm_prob=rm_prob, rm_range=(ma, mb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation_cases(), rm_configs(), SEEDS)
+def test_rounding_mutate_matches_reference(case, cfg, seed):
+    _, p = case
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    out = rounding_mutate(p, cfg, rng)
+    assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, ref_rng))
+    assert next_draws(rng) == next_draws(ref_rng)
+
+
+@pytest.mark.parametrize("points", [(0.985, 1.015), (3.9,), (-3.9,)])
+def test_rounding_mutate_reverts_blocked_snaps(points):
+    # every draw selects a grid; each snap lands within MIN_GAP of the other
+    # point (1.0) or of a range end (4.0, -4.0), so it is reverted
+    cfg = GaConfig(rm_prob=0.5, rm_range=(0, 1))
+    p = bset(points)
+    for seed in range(20):
+        out = rounding_mutate(p, cfg, make_rng(seed))
+        assert out == p
+        assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, make_rng(seed)))

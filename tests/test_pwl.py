@@ -251,7 +251,7 @@ def test_scalar_eval_matches_array_eval(case, unit_xs):
 def test_repair_points_invariants(kind, unit):
     lo, hi = default_spec(kind).search_range
     out = repair_points([lo + u * (hi - lo) for u in unit], (lo, hi))
-    assert out.size == len(unit)
+    assert len(out) == len(unit)
     assert np.all(np.diff(out) >= MIN_GAP - 1e-9)
     assert out[0] >= lo + MIN_GAP - 1e-9 and out[-1] <= hi - MIN_GAP + 1e-9
 
