@@ -52,11 +52,14 @@ def _artifact_stem(cfg: RunConfig) -> str:
 def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     """Fit one table per seed; writes per-seed artifacts, a best-of-seeds
     artifact and a generation-by-generation fitness log. Returns the paths."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     spec = cfg.spec()
     chash = config_hash(cfg)
     ga_cfgs = [replace(cfg.ga, seed=seed) for seed in cfg.seeds]
     if jobs > 1 and len(ga_cfgs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ga_cfgs))) as pool:
             results = list(pool.map(_fit_one, [spec] * len(ga_cfgs), ga_cfgs))
     else:
         results = [_fit_one(spec, g) for g in ga_cfgs]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lutfit import cli
 from lutfit.artifacts import (
     Provenance,
     atomic_write,
@@ -346,6 +347,51 @@ def test_cmd_fit_parallel_matches_sequential(tmp_path):
     seq = [open(p, "rb").read() for p in cmd_fit(cfg_seq, jobs=1)]
     par = [open(p, "rb").read() for p in cmd_fit(cfg_par, jobs=2)]
     assert seq == par
+
+
+class FakeExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        FakeExecutor.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_main_fit_pool_has_one_worker_per_seed_at_most(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "created", [])
+    fit = ["fit", "--function", "gelu", "--iterations", "2", "--out", str(tmp_path)]
+    assert main([*fit, "--seeds", "0,1", "--jobs", "4"]) == 0
+    assert FakeExecutor.created == [2]
+    assert main([*fit, "--seeds", "0,1,2", "--jobs", "2"]) == 0
+    assert FakeExecutor.created == [2, 2]
+    # one seed or one job runs in-process
+    assert main([*fit, "--seeds", "0", "--jobs", "4"]) == 0
+    assert main([*fit, "--seeds", "0,1", "--jobs", "1"]) == 0
+    assert FakeExecutor.created == [2, 2]
+
+
+def test_main_fit_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(FakeExecutor, "created", [])
+    out = str(tmp_path / "out")
+    for jobs in ("0", "-2"):
+        assert main(["fit", "--function", "gelu", "--seeds", "0,1", "--iterations", "2",
+                     "--jobs", jobs, "--out", out]) == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert FakeExecutor.created == []
+    assert not os.path.exists(out)
 
 
 def test_cmd_fit_multi_seed_best_selection(tmp_path):
