@@ -62,7 +62,9 @@ def repair_points(values, search_range: tuple[float, float], min_gap: float = MI
     if hi - lo < (n + 1) * min_gap:
         raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {min_gap}")
     floor, ceil = lo + min_gap, hi - min_gap
-    pts = [min(max(v, floor), ceil) for v in sorted(map(float, values))]
+    # np.clip's order, as comparisons: builtin min/max calls cost twice as much
+    pts = [floor if v < floor else v for v in sorted(map(float, values))]
+    pts = [ceil if v > ceil else v for v in pts]
     for k in range(1, n):
         if pts[k] < pts[k - 1] + min_gap:
             pts[k] = pts[k - 1] + min_gap
