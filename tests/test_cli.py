@@ -355,7 +355,6 @@ class FakeExecutor:
     created = []
 
     def __init__(self, max_workers):
-        self.max_workers = max_workers
         FakeExecutor.created.append(max_workers)
 
     def __enter__(self):

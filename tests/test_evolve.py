@@ -299,6 +299,7 @@ def test_short_ga_tracks_oracle_on_exp():
 def test_memo_scores_under_half_of_the_walk(monkeypatch):
     # rounding snaps and tournament copies make most individuals repeats, so
     # a working two-generation memo scores well under half of the walk
+    # the package rebinds lutfit.evolve to the function; this is the module
     evolve_module = importlib.import_module("lutfit.evolve")
     shared_scorer = evolve_module.fitness_scorer
     calls = []
