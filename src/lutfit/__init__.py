@@ -8,7 +8,7 @@ integer LUT arithmetic bit-accurately, and exports hardware-ready tables.
 __version__ = "0.1.0"
 
 from .nonlin import Kind, NonLinSpec, default_spec, eval_ref
-from .pwl import BreakpointSet, PwlTable, derive_table, eval_pwl, fitness_mse
+from .pwl import BreakpointSet, PwlTable, derive_table, eval_pwl, fitness_mse, fxp_round_table
 from .evolve import GaConfig, MutationKind, evolve
 from .quant import (
     PowTwoScale,
@@ -39,6 +39,7 @@ __all__ = [
     "derive_table",
     "eval_pwl",
     "fitness_mse",
+    "fxp_round_table",
     "GaConfig",
     "MutationKind",
     "evolve",

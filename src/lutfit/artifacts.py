@@ -13,6 +13,7 @@ never leaves a partial artifact behind.
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -87,16 +88,27 @@ def _field(data: dict, name: str, types, item_types=None, owner: str = ""):
     return value
 
 
+def _numbers(data: dict, name: str, owner: str = "") -> tuple:
+    """A list-of-finite-numbers field; errors name the field."""
+    values = _field(data, name, list, _NUMBER, owner)
+    for i, v in enumerate(values):
+        # abs(v) <= max also rejects a JSON integer beyond the float range
+        if not abs(v) <= sys.float_info.max:
+            label = f"{owner}.{name}" if owner else name
+            raise ValueError(f"artifact field {label}[{i}] is not a finite number: {v!r}")
+    return tuple(values)
+
+
 def _spec_from_dict(data: dict) -> NonLinSpec:
     kind = _field(data, "kind", str, owner="function")
     if kind not in {k.value for k in Kind}:
         raise ValueError(f"artifact field function.kind names no known function: {kind!r}")
-    search_range = _field(data, "search_range", list, _NUMBER, owner="function")
+    search_range = _numbers(data, "search_range", owner="function")
     if len(search_range) != 2:
         raise ValueError(f"artifact field function.search_range must be [lo, hi]: {search_range}")
     return NonLinSpec(
         kind=Kind(kind),
-        search_range=tuple(search_range),
+        search_range=search_range,
         scale_carrying=_field(data, "scale_carrying", bool, owner="function"),
     )
 
@@ -176,10 +188,10 @@ def read_artifact(path: str):
     provenance = _provenance_from_dict(_field(data, "provenance", dict))
     if kind == "fit":
         table = PwlTable(
-            slopes=tuple(_field(data, "slopes", list, _NUMBER)),
-            intercepts=tuple(_field(data, "intercepts", list, _NUMBER)),
+            slopes=_numbers(data, "slopes"),
+            intercepts=_numbers(data, "intercepts"),
             breakpoints=BreakpointSet(
-                points=tuple(_field(data, "breakpoints", list, _NUMBER)),
+                points=_numbers(data, "breakpoints"),
                 search_range=spec.search_range,
             ),
             spec=spec,

@@ -8,6 +8,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 from .artifacts import (
     EXPORT_FORMATS,
@@ -30,7 +31,7 @@ from .evalbench import sweep_scales, wide_range_mse
 from .evolve import MutationKind, evolve
 from .intsim import AccumulatorOverflow
 from .nonlin import Kind
-from .pwl import PwlTable, fitness_mse
+from .pwl import PwlTable, fitness_mse, fxp_round_table
 from .quant import (
     PowTwoScale,
     QPwlTable,
@@ -39,9 +40,9 @@ from .quant import (
 )
 
 
-def _fit_one(spec, ga_cfg):
+def _fit_one(spec, frac_bits, ga_cfg):
     log: list = []
-    table = evolve(spec, ga_cfg, log=log)
+    table = fxp_round_table(evolve(spec, ga_cfg, log=log), frac_bits)
     return ga_cfg.seed, table, log
 
 
@@ -50,19 +51,21 @@ def _artifact_stem(cfg: RunConfig) -> str:
 
 
 def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
-    """Fit one table per seed; writes per-seed artifacts, a best-of-seeds
-    artifact and a generation-by-generation fitness log. Returns the paths."""
+    """Fit one table per seed, its slopes and intercepts rounded to lambda
+    (datapath.frac_bits); writes per-seed artifacts, a best-of-seeds artifact
+    and a generation-by-generation fitness log. Returns the paths."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     spec = cfg.spec()
     chash = config_hash(cfg)
+    fit_one = partial(_fit_one, spec, cfg.datapath.frac_bits)
     ga_cfgs = [replace(cfg.ga, seed=seed) for seed in cfg.seeds]
     if jobs > 1 and len(ga_cfgs) > 1:
         # the pool forks all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(ga_cfgs))) as pool:
-            results = list(pool.map(_fit_one, [spec] * len(ga_cfgs), ga_cfgs))
+            results = list(pool.map(fit_one, ga_cfgs))
     else:
-        results = [_fit_one(spec, g) for g in ga_cfgs]
+        results = [fit_one(g) for g in ga_cfgs]
 
     stem = _artifact_stem(cfg)
     written = []
@@ -262,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="quantization-aware accuracy report for a table")
     p_eval.add_argument("--table", required=True, help="fitted-table artifact")
-    p_eval.add_argument("--function", choices=functions)
-    p_eval.add_argument("--entries", type=int, choices=(8, 16))
     p_eval.add_argument("--scales", help="comma-separated scale exponents")
     p_eval.add_argument("--config", help="JSON run-config file")
     p_eval.add_argument("--out", help="output directory (default: out)")

@@ -8,6 +8,7 @@ equal hashes imply byte-identical artifacts.
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .evalbench import DEFAULT_SCALE_EXPONENTS
@@ -44,8 +45,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings. Each has one home: the entry count is
+    ga.n_breakpoints + 1, lambda is datapath.frac_bits and the fit seeds are
+    seeds (ga.seed is the per-fit copy the fit command fills in)."""
+
     function: Kind
-    entries: int = 8
     search_range: tuple[float, float] | None = None
     ga: GaConfig = field(default_factory=GaConfig)
     scale_exponents: tuple[int, ...] = DEFAULT_SCALE_EXPONENTS
@@ -53,6 +57,10 @@ class RunConfig:
     datapath: DatapathConfig = field(default_factory=DatapathConfig)
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "out"
+
+    @property
+    def entries(self) -> int:
+        return self.ga.n_breakpoints + 1
 
     def spec(self) -> NonLinSpec:
         base = default_spec(self.function)
@@ -103,7 +111,6 @@ def default_run_config(
     kind = Kind(kind)
     return RunConfig(
         function=kind,
-        entries=entries,
         ga=default_ga_config(kind, entries),
         plan=None if kind in (Kind.GELU, Kind.HSWISH, Kind.EXP) else f"{kind.value}-int8",
         seeds=tuple(seeds),
@@ -174,7 +181,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "rm_prob": cfg.ga.rm_prob,
             "rm_range": list(cfg.ga.rm_range),
             "iterations": cfg.ga.iterations,
-            "fxp_frac_bits": cfg.ga.fxp_frac_bits,
+            # Schema v1 restates lambda in the ga section.
+            "fxp_frac_bits": cfg.datapath.frac_bits,
             "mutation_kind": cfg.ga.mutation_kind.value,
             "gaussian_sigma": cfg.ga.gaussian_sigma,
         },
@@ -193,14 +201,25 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not true/false."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(data: dict, key: str, default) -> tuple[int, ...]:
     """A list-of-integers field; errors name the field."""
     value = data.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
         raise ConfigError(f"invalid field {key}: expected a list of integers, got {value!r}")
     return tuple(value)
+
+
+def _section(data: dict, key: str) -> dict:
+    """An optional object-valued section; errors name it."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"invalid field {key}: expected an object, got {value!r}")
+    return value
 
 
 def _require(mapping: dict, key: str, section: str):
@@ -209,10 +228,8 @@ def _require(mapping: dict, key: str, section: str):
     return mapping[key]
 
 
-def _check_quant(quant, input_bits: int):
+def _check_quant(quant: dict, input_bits: int):
     """The quant section only restates the datapath's signed input width."""
-    if not isinstance(quant, dict):
-        raise ConfigError(f"invalid field quant: expected an object, got {quant!r}")
     bits = quant.get("bits", input_bits)
     if type(bits) is not int or bits != input_bits:
         raise ConfigError(
@@ -222,6 +239,22 @@ def _check_quant(quant, input_bits: int):
         raise ConfigError(
             f"invalid field quant.signed: the datapath input is signed, got {quant['signed']!r}"
         )
+
+
+def _search_range(value) -> tuple[float, float] | None:
+    """search_range: null for the stock range, or two finite numbers."""
+    if value is None:
+        return None
+    # abs(v) <= max also rejects a JSON integer beyond the float range
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
+    )):
+        raise ConfigError(f"invalid field search_range: expected two finite numbers, got {value!r}")
+    return tuple(value)
+
+
+# GA fields that count something, so must be integers.
+_GA_COUNTS = ("n_breakpoints", "population_size", "iterations")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -235,12 +268,17 @@ def config_from_dict(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid field function: {exc}") from None
     entries = data.get("entries", 8)
-    if entries not in (8, 16):
-        raise ConfigError(f"invalid field entries: must be 8 or 16, got {entries}")
+    if not _is_int(entries) or entries not in (8, 16):
+        raise ConfigError(f"invalid field entries: must be 8 or 16, got {entries!r}")
 
     defaults = default_run_config(function, entries)
+    ga_data = _section(data, "ga")
+    if "seed" in ga_data:
+        raise ConfigError("invalid field ga.seed: the fit seeds are the seeds field")
     ga_kwargs = {}
-    for key, value in data.get("ga", {}).items():
+    for key, value in ga_data.items():
+        if key == "fxp_frac_bits":
+            continue  # lambda, which the datapath section owns
         if key == "mutation_kind":
             try:
                 value = MutationKind(value)
@@ -249,7 +287,12 @@ def config_from_dict(data: dict) -> RunConfig:
                     f"invalid field ga.mutation_kind: {value!r} (use 'gaussian' or 'rm')"
                 ) from None
         elif key == "rm_range":
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(_is_int(v) for v in value)):
+                raise ConfigError(f"invalid field ga.rm_range: expected two integers, got {value!r}")
             value = tuple(value)
+        elif key in _GA_COUNTS and not _is_int(value):
+            raise ConfigError(f"invalid field ga.{key}: expected an integer, got {value!r}")
         ga_kwargs[key] = value
     try:
         ga = replace(defaults.ga, **ga_kwargs)
@@ -261,30 +304,42 @@ def config_from_dict(data: dict) -> RunConfig:
             f"entries {entries} (expected {entries - 1})"
         )
 
-    dp_data = data.get("datapath", {})
-    try:
-        datapath = DatapathConfig(
-            input_bits=dp_data.get("input_bits", 8),
-            param_bits=dp_data.get("param_bits", 16),
-            frac_bits=dp_data.get("frac_bits", ga.fxp_frac_bits),
-            acc_bits=dp_data.get("acc_bits"),
+    # lambda is datapath.frac_bits; schema v1 also accepts it as ga.fxp_frac_bits
+    dp_data = _section(data, "datapath")
+    frac_bits = dp_data.get("frac_bits", ga_data.get("fxp_frac_bits", 5))
+    if ga_data.get("fxp_frac_bits", frac_bits) != frac_bits:
+        raise ConfigError(
+            f"invalid field datapath.frac_bits: {frac_bits!r} does not match "
+            f"ga.fxp_frac_bits {ga_data['fxp_frac_bits']!r} (both set lambda)"
         )
+    dp_kwargs = {
+        "input_bits": dp_data.get("input_bits", 8),
+        "param_bits": dp_data.get("param_bits", 16),
+        "frac_bits": frac_bits,
+        "acc_bits": dp_data.get("acc_bits"),
+    }
+    for key, value in dp_kwargs.items():
+        if not (_is_int(value) or key == "acc_bits" and value is None):
+            raise ConfigError(f"invalid field datapath.{key}: expected an integer, got {value!r}")
+    try:
+        datapath = DatapathConfig(**dp_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid field datapath: {exc}") from None
-    _check_quant(data.get("quant", {}), datapath.input_bits)
+    _check_quant(_section(data, "quant"), datapath.input_bits)
 
-    search_range = data.get("search_range")
-    output = data.get("output", {})
+    output = _section(data, "output")
+    out_dir = output.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"invalid field output.dir: expected a string, got {out_dir!r}")
     cfg = RunConfig(
         function=function,
-        entries=entries,
-        search_range=tuple(search_range) if search_range else None,
+        search_range=_search_range(data.get("search_range")),
         ga=ga,
         scale_exponents=_int_list(data, "scale_exponents", DEFAULT_SCALE_EXPONENTS),
         plan=_plan_from_value(data.get("plan", defaults.plan), function),
         datapath=datapath,
         seeds=_int_list(data, "seeds", (0,)),
-        out_dir=output.get("dir", "out"),
+        out_dir=out_dir,
     )
     try:
         cfg.spec()

@@ -33,7 +33,6 @@ from .pwl import (
     PwlTable,
     derive_table,
     fitness_scorer,
-    fxp_round_table,
     repaired_breakpoints,
 )
 
@@ -54,7 +53,6 @@ class GaConfig:
     rm_prob: float = 0.05
     rm_range: tuple[int, int] = (0, 6)
     iterations: int = 500
-    fxp_frac_bits: int = 5
     mutation_kind: MutationKind = MutationKind.ROUNDING
     gaussian_sigma: float | None = None
     seed: int = 0
@@ -77,8 +75,6 @@ class GaConfig:
             )
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.fxp_frac_bits < 0:
-            raise ValueError(f"fxp_frac_bits must be >= 0, got {self.fxp_frac_bits}")
         if self.gaussian_sigma is not None and self.gaussian_sigma <= 0:
             raise ValueError(f"gaussian_sigma must be positive, got {self.gaussian_sigma}")
 
@@ -187,7 +183,7 @@ def _tournament_picks(fitnesses, rng: np.random.Generator, rounds: int = 3) -> l
 
 
 def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable:
-    """Run the full genetic search and return the best table, FXP-rounded.
+    """Run the full genetic search and return the best table.
 
     Each generation walks the population in index order: an individual is
     scored first, then crossed over with probability cross_prob (partner
@@ -204,10 +200,10 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
     reuses that score, which is the same float the scorer would return. At
     most 2 * population_size scores are held.
 
-    The winner of a final scoring pass is returned with slopes and
-    intercepts rounded to fxp_frac_bits fractional bits. If log is given,
-    (generation, best_mse) pairs are appended per generation plus a final
-    entry for the returned individual.
+    The winner of a final scoring pass is returned with its real-valued
+    slopes and intercepts; the caller rounds them to the datapath's
+    fractional bits. If log is given, (generation, best_mse) pairs are
+    appended per generation plus a final entry for the returned individual.
     """
     rng = make_rng(cfg.seed)
     inds = init_population(cfg, spec, rng)
@@ -254,5 +250,4 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
     best = min(range(n), key=lambda k: (fitness[k], k))
     if log is not None:
         log.append((cfg.iterations, fitness[best]))
-    table = derive_table(spec, inds[best])
-    return fxp_round_table(table, cfg.fxp_frac_bits)
+    return derive_table(spec, inds[best])

@@ -7,39 +7,31 @@ toward +inf also keep half-grid breakpoints out of their own deviation
 zones after quantization, which ties away from zero would not.
 """
 
-import numpy as np
+import math
 
 
-def round_half_up(x):
-    """Round to nearest integer, ties toward +inf. Works on scalars and arrays.
+def round_half_up(x: float) -> int:
+    """Round to the nearest integer, ties toward +inf.
 
     Compares the fraction against a half rather than computing floor(x + 0.5),
     whose addition rounds a value one ulp below a half up to the next integer.
     """
-    x = np.asarray(x, dtype=float)
-    r = np.floor(x)
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, which keeps r
-        return r + (x - r >= 0.5)
+    r = math.floor(x)
+    return r + (x - r >= 0.5)
 
 
-def fxp_round(x, frac_bits: int):
+def fxp_round(x: float, frac_bits: int) -> float:
     """Snap x to the 2^-frac_bits grid (nearest, ties toward +inf)."""
-    scale = float(1 << frac_bits) if frac_bits >= 0 else 2.0 ** frac_bits
-    out = round_half_up(x * scale) / scale
-    if np.isscalar(x):
-        return float(out)
-    return out
+    scale = math.ldexp(1.0, frac_bits)
+    return round_half_up(x * scale) / scale
 
 
-def to_mantissa(x, frac_bits: int):
+def to_mantissa(x: float, frac_bits: int) -> int:
     """Integer mantissa of x at frac_bits fractional bits.
 
     Exact for values already on the grid; otherwise rounds half up.
     """
-    m = round_half_up(np.asarray(x, dtype=float) * float(1 << frac_bits))
-    if m.ndim == 0:
-        return int(m)
-    return m.astype(np.int64)
+    return round_half_up(x * float(1 << frac_bits))
 
 
 def int_bounds(bits: int) -> tuple[int, int]:

@@ -25,6 +25,7 @@ from lutfit.pwl import (
     derive_table,
     eval_pwl,
     fitness_mse,
+    fxp_round_table,
     repaired_breakpoints,
 )
 from lutfit.quant import (
@@ -89,7 +90,7 @@ def get_fit(kind, entries=8, seed=0, mutation=None, n_breakpoints=None):
             cfg = replace(cfg, n_breakpoints=n_breakpoints)
         spec = default_spec(kind)
         start = time.monotonic()
-        _fit_cache[key] = evolve(spec, cfg)
+        _fit_cache[key] = fxp_round_table(evolve(spec, cfg), LAMBDA)
         _fit_seconds[key] = time.monotonic() - start
     return _fit_cache[key]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -67,7 +68,7 @@ def test_default_ga_configs_match_stock_hyperparameters():
     assert cfg.cross_prob == 0.7
     assert cfg.mutate_prob == 0.2
     assert cfg.iterations == 500
-    assert cfg.fxp_frac_bits == 5
+    assert default_run_config("gelu").datapath.frac_bits == 5
     assert cfg.rm_prob == 0.05
     assert cfg.rm_range == (0, 6)
     assert cfg.mutation_kind is MutationKind.ROUNDING
@@ -90,6 +91,13 @@ def test_config_round_trip_and_hash(tmp_path):
     again = config_from_dict(json.loads(json.dumps(data)))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+    # lambda is one setting that schema v1 writes in two places
+    assert data["ga"]["fxp_frac_bits"] == data["datapath"]["frac_bits"] == 5
+    via_ga = config_from_dict({"function": "gelu", "ga": {"fxp_frac_bits": 6}})
+    via_datapath = config_from_dict({"function": "gelu", "datapath": {"frac_bits": 6}})
+    assert via_ga == via_datapath
+    assert via_ga.datapath.frac_bits == 6
+    assert config_hash(via_ga) == config_hash(via_datapath)
 
 
 def test_config_errors_name_offending_field():
@@ -117,6 +125,21 @@ def test_config_errors_name_offending_field():
         config_from_dict({"function": "gelu", "entries": 8, "ga": {"n_breakpoints": 15}})
     with pytest.raises(ConfigError, match="acc_bits"):
         config_from_dict({"function": "gelu", "datapath": {"acc_bits": 64}})
+    # malformed sections and fields exit 2 naming the field, never a traceback
+    for extra, field in (
+        ({"ga": [1]}, "ga"),
+        ({"datapath": [1]}, "datapath"),
+        ({"output": "x"}, "output"),
+        ({"search_range": [0, "a"]}, "search_range"),
+        ({"search_range": [-math.inf, 4]}, "search_range"),
+        ({"ga": {"rm_range": 5}}, "ga.rm_range"),
+        ({"ga": {"population_size": 2.5}}, "ga.population_size"),
+        # lambda has one value; the fit seeds are the seeds field
+        ({"ga": {"fxp_frac_bits": 6}, "datapath": {"frac_bits": 4}}, "datapath.frac_bits"),
+        ({"ga": {"seed": 7}}, "ga.seed"),
+    ):
+        with pytest.raises(ConfigError, match=f"invalid field {field}:"):
+            config_from_dict({"function": "gelu", **extra})
     # quant only restates the datapath's signed input width
     for quant, field in (({"bits": 16}, "quant.bits"), ({"signed": False}, "quant.signed"),
                          ([16], "quant")):
@@ -333,6 +356,14 @@ def test_cmd_fit_writes_expected_artifacts(tmp_path):
     assert len(log) == 1 + 6  # five generations plus the final entry
 
 
+def test_cmd_fit_rounds_to_datapath_frac_bits(tmp_path):
+    cfg = tiny_config(tmp_path, datapath=DatapathConfig(frac_bits=6))
+    table, _ = read_artifact(cmd_fit(cfg)[0])
+    values = table.slopes + table.intercepts
+    assert all(v == round(v * 64) / 64 for v in values)
+    assert any(v != round(v * 32) / 32 for v in values)  # not the stock lambda = 5
+
+
 def test_cmd_fit_is_byte_deterministic(tmp_path):
     cfg_a = tiny_config(tmp_path, out_dir=str(tmp_path / "a"))
     cfg_b = tiny_config(tmp_path, out_dir=str(tmp_path / "b"))
@@ -526,6 +557,8 @@ MALFORMED_FIT = {
     "function.search_range": lambda d: d["function"].update(search_range="wide"),
     "slopes": lambda d: d.update(slopes="steep"),
     "breakpoints": lambda d: d.pop("breakpoints"),
+    "breakpoints:nan": lambda d: d["breakpoints"].__setitem__(1, math.nan),
+    "slopes:inf": lambda d: d["slopes"].__setitem__(1, math.inf),
     "provenance": lambda d: d.update(provenance=[1]),
     "provenance.seed": lambda d: d["provenance"].update(seed="x; DROP"),
     "provenance.config_hash": lambda d: d["provenance"].update(config_hash=5),
@@ -557,6 +590,16 @@ def test_main_malformed_artifact_names_field(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert f"field {field}" in err, err
     assert not os.path.exists(out)
+
+
+def test_main_eval_takes_function_and_entries_from_artifact(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
+    for flag in (["--function", "gelu"], ["--entries", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--table", table_path, *flag, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_main_eval_accumulator_overflow_exits_2(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_evolve_zero_iterations_returns_best_initial():
     table = evolve(GELU, cfg)
 
     # independent replay: the initial population is drawn first from the
-    # same stream, so the winner must be its fitness argmin, FXP-rounded
+    # same stream, so the winner must be its fitness argmin
     pop = init_population(cfg, GELU, make_rng(7))
     best = min(pop, key=lambda ind: fitness_mse(derive_table(GELU, ind), GELU))
     assert table.breakpoints == best
@@ -246,12 +246,6 @@ def test_evolve_log_tracks_generations():
     evolve(GELU, cfg, log=log)
     assert len(log) == 13
     assert [g for g, _ in log] == list(range(13))
-
-
-def test_evolve_params_on_fxp_grid():
-    table = evolve(GELU, small_cfg(fxp_frac_bits=5))
-    for v in table.slopes + table.intercepts:
-        assert v == round(v * 32) / 32
 
 
 def test_selection_only_drift_loses_diversity():
