@@ -198,13 +198,17 @@ def read_artifact(path: str):
         )
         return table, provenance
     exponent = _field(data, "scale_exponent", (int, type(None)))
+    try:
+        scale = None if exponent is None else PowTwoScale(exponent)
+    except ValueError as exc:
+        raise ValueError(f"artifact field scale_exponent: {exc}") from None
     qtable = QPwlTable(
         slopes_fxp=tuple(_field(data, "slopes_fxp", list, int)),
         intercepts_fxp=tuple(_field(data, "intercepts_fxp", list, int)),
         breakpoints_q=tuple(_field(data, "breakpoints_q", list, int)),
         frac_bits=_field(data, "frac_bits", int),
         spec=spec,
-        scale=None if exponent is None else PowTwoScale(exponent),
+        scale=scale,
         source_segments=tuple(_field(data, "source_segments", list, int)),
         saturated=tuple(_field(data, "saturated", list, str)),
     )

@@ -6,7 +6,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -31,7 +30,7 @@ from .evalbench import sweep_scales, wide_range_mse
 from .evolve import MutationKind, evolve
 from .intsim import AccumulatorOverflow
 from .nonlin import Kind
-from .pwl import PwlTable, fitness_mse, fxp_round_table
+from .pwl import PwlTable, fitness_mse, fitness_scorer, fxp_round_table
 from .quant import (
     PowTwoScale,
     QPwlTable,
@@ -61,7 +60,13 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     fit_one = partial(_fit_one, spec, cfg.datapath.frac_bits)
     ga_cfgs = [replace(cfg.ga, seed=seed) for seed in cfg.seeds]
     if jobs > 1 and len(ga_cfgs) > 1:
-        # the pool forks all its workers at the first submit
+        # Only a pooled fit pays for importing multiprocessing. Building the
+        # scorer loads numpy and the fitness grid in the parent, so the
+        # workers the pool forks at the first submit inherit both instead of
+        # each importing numpy again.
+        from concurrent.futures import ProcessPoolExecutor
+
+        fitness_scorer(spec)
         with ProcessPoolExecutor(max_workers=min(jobs, len(ga_cfgs))) as pool:
             results = list(pool.map(fit_one, ga_cfgs))
     else:
@@ -179,7 +184,11 @@ def cmd_export(
             raise ConfigError(
                 f"{table.spec.kind.value} export requires --scale-exp (power-of-two exponent)"
             )
-        qtable = quantize_table(table, PowTwoScale(scale_exp), dp.input_bits, dp.frac_bits)
+        try:
+            scale = PowTwoScale(scale_exp)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --scale-exp: {exc}") from None
+        qtable = quantize_table(table, scale, dp.input_bits, dp.frac_bits)
     else:
         qtable = fxp_quantize_table(table, dp.frac_bits, dp.input_bits)
 

@@ -58,6 +58,13 @@ class RunConfig:
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "out"
 
+    def __post_init__(self):
+        for i, e in enumerate(self.scale_exponents):
+            try:
+                PowTwoScale(e)
+            except ValueError as exc:
+                raise ConfigError(f"invalid field scale_exponents[{i}]: {exc}") from None
+
     @property
     def entries(self) -> int:
         return self.ga.n_breakpoints + 1

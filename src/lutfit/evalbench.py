@@ -11,8 +11,7 @@ multi-range scaling plan, through the fixed-point table.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .fxp import int_bounds
 from .intsim import DatapathConfig, int_pwl
 from .nonlin import NonLinSpec, eval_ref
@@ -26,6 +25,8 @@ from .quant import (
     quantize_table,
     select_subrange,
 )
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ def eval_range_q(spec: NonLinSpec, scale: PowTwoScale, bits: int) -> tuple[int, 
     lo, hi = spec.search_range
     s = scale.value
     q_lo, q_hi = int_bounds(bits)
-    q_min = max(q_lo, int(math.ceil(lo / s - 1e-9)))
-    q_max = min(q_hi, int(math.floor(hi / s + 1e-9)))
+    # clamped before rounding, so an end past the float range clamps too
+    q_min = math.ceil(max(lo / s - 1e-9, q_lo))
+    q_max = math.floor(min(hi / s + 1e-9, q_hi))
     if q_min > q_max:
         raise ValueError(
             f"no representable inputs in range {spec.search_range} at scale 2^{scale.exponent}"

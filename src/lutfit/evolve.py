@@ -20,11 +20,12 @@ The RNG is numpy's counter-based Philox, so a (spec, config) pair fixes the
 returned table bit-exactly on any platform.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .fxp import fxp_round
 from .nonlin import NonLinSpec
 from .pwl import (
@@ -35,6 +36,8 @@ from .pwl import (
     fitness_scorer,
     repaired_breakpoints,
 )
+
+np = lazy_import("numpy")
 
 
 class MutationKind(Enum):

@@ -16,10 +16,11 @@ at most 63 bits wide, so int64 holds every checked value exactly.
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .fxp import fits, int_bounds, shift_right_round
 from .quant import QPwlTable, segment_index
+
+np = lazy_import("numpy")
 
 # Widest accumulator int64 arithmetic simulates exactly.
 MAX_ACC_BITS = 63

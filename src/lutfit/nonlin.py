@@ -4,11 +4,14 @@ These are the exact double-precision functions the fitted tables are
 measured against. GELU uses the erf form x*Phi(x).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 class DomainError(ValueError):
@@ -37,7 +40,12 @@ SEARCH_RANGES: dict[Kind, tuple[float, float]] = {
 }
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_erf = np.frompyfunc(math.erf, 1, 1)  # 0-d input gives a bare float
+
+
+@functools.cache
+def _erf():
+    """math.erf as a ufunc, built on first use so importing loads no numpy."""
+    return np.frompyfunc(math.erf, 1, 1)  # 0-d input gives a bare float
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,7 @@ def eval_ref(spec: NonLinSpec, x):
     if kind in (Kind.DIV, Kind.RSQRT) and np.any(arr <= 0.0):
         raise DomainError(f"{kind.value} requires x > 0")
     if kind is Kind.GELU:
-        out = arr * 0.5 * (1.0 + np.asarray(_erf(arr * _INV_SQRT2), dtype=float))
+        out = arr * 0.5 * (1.0 + np.asarray(_erf()(arr * _INV_SQRT2), dtype=float))
     elif kind is Kind.HSWISH:
         out = arr * np.clip(arr + 3.0, 0.0, 6.0) / 6.0
     elif kind is Kind.EXP:

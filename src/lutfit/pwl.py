@@ -6,15 +6,18 @@ use segment 0 and inputs at or right of the last use segment N-1. The two
 boundary segments extrapolate linearly outside the fitting range.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .fxp import fxp_round
 from .nonlin import NonLinSpec, eval_ref
+
+np = lazy_import("numpy")
 
 # Fitness grid step, and the minimum spacing kept between breakpoints
 # (and between a breakpoint and a range endpoint) so segment slopes stay

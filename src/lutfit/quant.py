@@ -16,13 +16,17 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .fxp import int_bounds, round_half_up, saturate, to_mantissa
 from .nonlin import DomainError, Kind, NonLinSpec
 from .pwl import PwlTable, eval_segments
 
+np = lazy_import("numpy")
+
 logger = logging.getLogger(__name__)
+
+# Scale exponents for which 2^e is an exact normal double.
+MIN_SCALE_EXP, MAX_SCALE_EXP = -1022, 1023
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,13 @@ class PowTwoScale:
 
     exponent: int
 
+    def __post_init__(self):
+        if not MIN_SCALE_EXP <= self.exponent <= MAX_SCALE_EXP:
+            raise ValueError(
+                f"scale exponent {self.exponent} outside {MIN_SCALE_EXP}..{MAX_SCALE_EXP}, "
+                f"where 2^e is a normal double"
+            )
+
     @property
     def value(self) -> float:
         return math.ldexp(1.0, self.exponent)
@@ -38,7 +49,9 @@ class PowTwoScale:
 
 def quantize(x: float, scale: PowTwoScale, bits: int) -> int:
     """x -> round(x / S), rounding half up, saturated to a signed bits-wide integer."""
-    return saturate(round_half_up(x / scale.value), bits)
+    lo, hi = int_bounds(bits)
+    # clamped before rounding, so a quotient past the float range saturates too
+    return round_half_up(min(max(x / scale.value, lo), hi))
 
 
 def dequantize(q, scale: PowTwoScale):
@@ -137,6 +150,18 @@ def _collapse(bps_q, slopes, intercepts, context: str):
     )
 
 
+def _mantissas(values, frac_bits: int, field: str) -> list[int]:
+    """to_mantissa of each value; one past the float range at frac_bits
+    fractional bits is a ValueError naming field[i]."""
+    scale = math.ldexp(1.0, frac_bits)
+    for i, v in enumerate(values):
+        if not math.isfinite(v * scale):
+            raise ValueError(
+                f"table field {field}[{i}] = {v!r} overflows at {frac_bits} fractional bits"
+            )
+    return [to_mantissa(v, frac_bits) for v in values]
+
+
 def quantize_table(
     table: PwlTable, scale: PowTwoScale, bits: int = 8, frac_bits: int = 5
 ) -> QPwlTable:
@@ -150,8 +175,8 @@ def quantize_table(
     if not table.spec.scale_carrying:
         raise ValueError(f"{table.spec.kind.value} is wide-range; use fxp_quantize_table")
     bps_q = [quantize(p, scale, bits) for p in table.breakpoints.points]
-    slopes = [to_mantissa(k, frac_bits) for k in table.slopes]
-    intercepts = [to_mantissa(b, frac_bits) for b in table.intercepts]
+    slopes = _mantissas(table.slopes, frac_bits, "slopes")
+    intercepts = _mantissas(table.intercepts, frac_bits, "intercepts")
     bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
         bps_q, slopes, intercepts, f"{table.spec.kind.value}@2^{scale.exponent}"
     )
@@ -178,8 +203,7 @@ def fxp_quantize_table(table: PwlTable, frac_bits: int = 5, bits: int = 8) -> QP
 
     def convert(values, label):
         out = []
-        for i, v in enumerate(values):
-            m = to_mantissa(v, frac_bits)
+        for i, m in enumerate(_mantissas(values, frac_bits, f"{label}s")):
             clamped = saturate(m, bits)
             if clamped != m:
                 saturated.append(f"{label}[{i}]")

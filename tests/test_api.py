@@ -1,12 +1,21 @@
-"""Public names the package exports and the benchmark tracer wraps."""
+"""Public names the package exports and the benchmark tracer wraps, and
+what a fresh interpreter loads to run each command."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import lutfit
+from lutfit.artifacts import Provenance, write_fit_artifact
+from lutfit.cli import main
+from lutfit.nonlin import Kind, default_spec
+from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 
 TRACED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "traced.py")
+SRC = os.path.dirname(os.path.dirname(lutfit.__file__))
 
 
 def test_all_names_resolve():
@@ -27,3 +36,75 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(f"lutfit.{module}"), fn, None))
     ]
     assert not missing, missing
+
+
+# Runs each command of a JSON list through lutfit.cli.main and prints, after
+# each, the loaded modules the start-up test watches.
+CHILD = """
+import json, sys
+from lutfit.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+    loaded.append(sorted(m for m in sys.modules
+                         if m.startswith("numpy.") or m.split(".")[0] == "multiprocessing"))
+print(json.dumps(loaded))
+"""
+
+FIT_POINTS = {
+    Kind.GELU: (-2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5),
+    Kind.DIV: (0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5),
+}
+
+
+def _tree(directory) -> dict:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
+
+
+def test_fresh_interpreter_loads_numpy_only_for_numeric_commands(tmp_path, monkeypatch):
+    """Exports load no numpy, eval no numpy.random, and a fresh process
+    writes the bytes an in-process run writes."""
+    exports = [
+        ["export", "--table", f"{kind.value}.fit.json", "--format", fmt, "--out", "out",
+         *(["--scale-exp", "-5"] if kind is Kind.GELU else [])]
+        for fmt in ("memh", "header", "data")
+        for kind in FIT_POINTS
+    ]
+    commands = [
+        *exports,
+        ["eval", "--table", "gelu.fit.json", "--out", "out"],
+        ["fit", "--function", "gelu", "--iterations", "3", "--out", "fit"],
+        ["eval", "--table", "fit/gelu_8e_best.fit.json", "--out", "fit"],
+        ["export", "--table", "fit/gelu_8e_best.fit.json", "--format", "memh",
+         "--scale-exp", "-5", "--out", "fit"],
+    ]
+    runs = {}
+    for side in ("fresh", "in_process"):
+        directory = tmp_path / side
+        directory.mkdir()
+        for kind, points in FIT_POINTS.items():
+            spec = default_spec(kind)
+            table = derive_table(spec, BreakpointSet(points, spec.search_range))
+            write_fit_artifact(str(directory / f"{kind.value}.fit.json"),
+                               fxp_round_table(table, 5), Provenance("abc", 0))
+        runs[side] = directory
+
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)], cwd=runs["fresh"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded[len(exports) - 1] == []
+    after_eval = loaded[len(exports)]
+    assert "numpy._core" in after_eval and "numpy.random" not in after_eval
+    assert not any(m.startswith("multiprocessing") for m in after_eval)
+
+    monkeypatch.chdir(runs["in_process"])
+    for argv in commands:
+        assert main(argv) == 0
+    fresh, in_process = _tree(runs["fresh"]), _tree(runs["in_process"])
+    assert sorted(fresh) == sorted(in_process)
+    assert [p for p in fresh if fresh[p] != in_process[p]] == []

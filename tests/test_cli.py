@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lutfit import cli
 from lutfit.artifacts import (
     Provenance,
     atomic_write,
@@ -117,6 +117,10 @@ def test_config_errors_name_offending_field():
         config_from_dict({"function": "div", "plan": "div-int4"})
     with pytest.raises(ConfigError, match="field plan: preset 'rsqrt-int8' is for rsqrt"):
         config_from_dict({"function": "div", "plan": "rsqrt-int8"})
+    # the open-ended sub-range's exponent is range-checked too
+    with pytest.raises(ConfigError, match="field plan: scale exponent 5000 outside"):
+        config_from_dict({"function": "div", "plan": {
+            "inner_range": [0.5, 4.0], "sub_ranges": [{"lo": 4.0, "hi": None, "exponent": 5000}]}})
     for key, value in (("seeds", "ab"), ("seeds", [0, 1.5]), ("seeds", [True]),
                        ("scale_exponents", ["x"]), ("scale_exponents", -5)):
         with pytest.raises(ConfigError, match=f"field {key}"):
@@ -137,6 +141,9 @@ def test_config_errors_name_offending_field():
         # lambda has one value; the fit seeds are the seeds field
         ({"ga": {"fxp_frac_bits": 6}, "datapath": {"frac_bits": 4}}, "datapath.frac_bits"),
         ({"ga": {"seed": 7}}, "ga.seed"),
+        # 2^e must be a normal double
+        ({"scale_exponents": [-6, 100000]}, r"scale_exponents\[1\]"),
+        ({"scale_exponents": [-2000]}, r"scale_exponents\[0\]"),
     ):
         with pytest.raises(ConfigError, match=f"invalid field {field}:"):
             config_from_dict({"function": "gelu", **extra})
@@ -220,11 +227,11 @@ def test_read_artifact_names_ill_typed_qtable_field(tmp_path):
     write_qtable_artifact(path, sample_qtable(), Provenance("abc", 0))
     with open(path) as fh:
         data = json.load(fh)
-    for value in ("5", True):
-        data["frac_bits"] = value
+    # a scale exponent past the normal doubles is as malformed as a wrong type
+    for field, value in (("frac_bits", "5"), ("frac_bits", True), ("scale_exponent", 5000)):
         with open(path, "w") as fh:
-            json.dump(data, fh)
-        with pytest.raises(ValueError, match="field frac_bits"):
+            json.dump({**data, field: value}, fh)
+        with pytest.raises(ValueError, match=f"field {field}"):
             read_artifact(path)
 
 
@@ -399,7 +406,7 @@ class FakeExecutor:
 
 
 def test_main_fit_pool_has_one_worker_per_seed_at_most(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "created", [])
     fit = ["fit", "--function", "gelu", "--iterations", "2", "--out", str(tmp_path)]
     assert main([*fit, "--seeds", "0,1", "--jobs", "4"]) == 0
@@ -413,7 +420,7 @@ def test_main_fit_pool_has_one_worker_per_seed_at_most(tmp_path, monkeypatch):
 
 
 def test_main_fit_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "created", [])
     out = str(tmp_path / "out")
     for jobs in ("0", "-2"):
@@ -559,6 +566,8 @@ MALFORMED_FIT = {
     "breakpoints": lambda d: d.pop("breakpoints"),
     "breakpoints:nan": lambda d: d["breakpoints"].__setitem__(1, math.nan),
     "slopes:inf": lambda d: d["slopes"].__setitem__(1, math.inf),
+    # finite, but its mantissa at lambda fractional bits is not
+    "slopes:1e308": lambda d: d["slopes"].__setitem__(1, 1e308),
     "provenance": lambda d: d.update(provenance=[1]),
     "provenance.seed": lambda d: d["provenance"].update(seed="x; DROP"),
     "provenance.config_hash": lambda d: d["provenance"].update(config_hash=5),
@@ -589,6 +598,22 @@ def test_main_malformed_artifact_names_field(tmp_path, capsys, case):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"field {field}" in err, err
+    assert not os.path.exists(out)
+
+
+def test_main_out_of_range_scale_exponents_name_the_flag(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_gelu_fit(table_path)
+    out = str(tmp_path / "out")
+    for exponent in ("1100", "-2000"):
+        for argv, field in (
+            (["eval", "--table", table_path, f"--scales=-5,{exponent}"], "scale_exponents[1]"),
+            (["export", "--table", table_path, "--format", "memh", "--scale-exp", exponent],
+             "--scale-exp"),
+        ):
+            assert main([*argv, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert field in err and exponent in err, err
     assert not os.path.exists(out)
 
 

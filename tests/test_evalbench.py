@@ -40,6 +40,8 @@ def test_eval_range_restricted_to_fitted_range():
     assert eval_range_q(GELU, PowTwoScale(-4), 8) == (-64, 64)
     assert eval_range_q(EXP, PowTwoScale(-6), 8) == (-128, 0)
     assert eval_range_q(EXP, PowTwoScale(0), 8) == (-8, 0)
+    # range ends whose q is past the float range clamp to the input width
+    assert eval_range_q(GELU, PowTwoScale(-1022), 8) == (-128, 127)
 
 
 def test_quant_aware_mse_exact_on_representable_linear_stub():

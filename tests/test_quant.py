@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def test_quantize_examples():
     assert quantize(-100.0, PowTwoScale(-3), 8) == -128
     for q in (-128, -5, 0, 17, 127):
         assert quantize(q * 2 ** -4, PowTwoScale(-4), 8) == q
+    # x / S past the float range saturates like any other out-of-range value
+    assert quantize(5.0, PowTwoScale(-1022), 8) == 127
+    assert quantize(-5.0, PowTwoScale(-1022), 8) == -128
+
+
+def test_pow_two_scale_is_a_normal_double():
+    assert PowTwoScale(-1022).value == 2.0 ** -1022
+    assert PowTwoScale(1023).value == 2.0 ** 1023
+    for e in (-1023, 1024, 100000):
+        with pytest.raises(ValueError, match=f"scale exponent {e} outside -1022..1023"):
+            PowTwoScale(e)
 
 
 def test_dequantize_exact():
@@ -192,6 +204,10 @@ def test_fxp_quantize_table_records_saturation():
     qt = fxp_quantize_table(inflated, frac_bits=5, bits=8)
     assert "slope[0]" in qt.saturated
     assert qt.slopes_fxp[0] == 127
+    # a mantissa past the float range is an error naming the field, not a saturation
+    huge = replace(inflated, intercepts=inflated.intercepts[:2] + (-1e308,) + inflated.intercepts[3:])
+    with pytest.raises(ValueError, match=r"field intercepts\[2\]"):
+        fxp_quantize_table(huge, frac_bits=5, bits=8)
 
 
 def test_fxp_quantize_table_rejects_scale_carrying():
