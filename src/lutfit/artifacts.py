@@ -13,11 +13,11 @@ never leaves a partial artifact behind.
 import json
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 
 from . import __version__
+from ._fields import NULL, NUMBER, ConfigError, json_field, naming
 from .fxp import fits
 from .nonlin import Kind, NonLinSpec
 from .pwl import BreakpointSet, PwlTable
@@ -64,52 +64,13 @@ def _spec_to_dict(spec: NonLinSpec) -> dict:
     }
 
 
-_NUMBER = (int, float)
-
-
-def _typed(value, types) -> bool:
-    """isinstance, except that a JSON true/false is not a number."""
-    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
-
-
-def _field(data: dict, name: str, types, item_types=None, owner: str = ""):
-    """data[name], type-checked; a missing or ill-typed field is a ValueError naming it.
-
-    item_types, when given, checks every element of a list field.
-    """
-    label = f"{owner}.{name}" if owner else name
-    if name not in data:
-        raise ValueError(f"artifact is missing field {label}")
-    value = data[name]
-    if not _typed(value, types) or (
-        item_types is not None and not all(_typed(v, item_types) for v in value)
-    ):
-        raise ValueError(f"artifact field {label} has the wrong type: {value!r}")
-    return value
-
-
-def _numbers(data: dict, name: str, owner: str = "") -> tuple:
-    """A list-of-finite-numbers field; errors name the field."""
-    values = _field(data, name, list, _NUMBER, owner)
-    for i, v in enumerate(values):
-        # abs(v) <= max also rejects a JSON integer beyond the float range
-        if not abs(v) <= sys.float_info.max:
-            label = f"{owner}.{name}" if owner else name
-            raise ValueError(f"artifact field {label}[{i}] is not a finite number: {v!r}")
-    return tuple(values)
-
-
 def _spec_from_dict(data: dict) -> NonLinSpec:
-    kind = _field(data, "kind", str, owner="function")
-    if kind not in {k.value for k in Kind}:
-        raise ValueError(f"artifact field function.kind names no known function: {kind!r}")
-    search_range = _numbers(data, "search_range", owner="function")
-    if len(search_range) != 2:
-        raise ValueError(f"artifact field function.search_range must be [lo, hi]: {search_range}")
+    kind = json_field(data, "kind", str, "function", choices=[k.value for k in Kind])
     return NonLinSpec(
         kind=Kind(kind),
-        search_range=search_range,
-        scale_carrying=_field(data, "scale_carrying", bool, owner="function"),
+        search_range=tuple(json_field(data, "search_range", list, "function", items=NUMBER,
+                                      length=2)),
+        scale_carrying=json_field(data, "scale_carrying", bool, "function"),
     )
 
 
@@ -153,10 +114,10 @@ def write_qtable_artifact(path: str, qtable: QPwlTable, provenance: Provenance):
 
 def _comment_safe(data: dict, name: str) -> str:
     """A provenance string that cannot end the export comment it is written into."""
-    value = _field(data, name, str, owner="provenance")
+    value = json_field(data, name, str, "provenance")
     if "*/" in value or any(ord(c) < 32 or ord(c) == 127 for c in value):
-        raise ValueError(
-            f"artifact field provenance.{name} holds '*/' or a control character: {value!r}"
+        raise ConfigError(
+            f"invalid field provenance.{name}: holds '*/' or a control character: {value!r}"
         )
     return value
 
@@ -164,7 +125,7 @@ def _comment_safe(data: dict, name: str) -> str:
 def _provenance_from_dict(data: dict) -> Provenance:
     return Provenance(
         config_hash=_comment_safe(data, "config_hash"),
-        seed=_field(data, "seed", int, owner="provenance"),
+        seed=json_field(data, "seed", int, "provenance"),
         tool_version=_comment_safe(data, "tool_version"),
     )
 
@@ -178,39 +139,34 @@ def read_artifact(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ValueError("artifact must be a JSON object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported artifact schema_version {data.get('schema_version')}")
-    kind = data.get("artifact_kind")
-    if kind not in ("fit", "qtable"):
-        raise ValueError(f"unknown artifact_kind {kind!r}")
-    spec = _spec_from_dict(_field(data, "function", dict))
-    provenance = _provenance_from_dict(_field(data, "provenance", dict))
+        raise ConfigError("artifact must be a JSON object")
+    json_field(data, "schema_version", int, choices=(SCHEMA_VERSION,))
+    kind = json_field(data, "artifact_kind", str, choices=("fit", "qtable"))
+    spec = _spec_from_dict(json_field(data, "function", dict))
+    provenance = _provenance_from_dict(json_field(data, "provenance", dict))
     if kind == "fit":
         table = PwlTable(
-            slopes=_numbers(data, "slopes"),
-            intercepts=_numbers(data, "intercepts"),
+            slopes=tuple(json_field(data, "slopes", list, items=NUMBER)),
+            intercepts=tuple(json_field(data, "intercepts", list, items=NUMBER)),
             breakpoints=BreakpointSet(
-                points=_numbers(data, "breakpoints"),
+                points=tuple(json_field(data, "breakpoints", list, items=NUMBER)),
                 search_range=spec.search_range,
             ),
             spec=spec,
         )
         return table, provenance
-    exponent = _field(data, "scale_exponent", (int, type(None)))
-    try:
+    exponent = json_field(data, "scale_exponent", (int, NULL))
+    with naming("scale_exponent"):
         scale = None if exponent is None else PowTwoScale(exponent)
-    except ValueError as exc:
-        raise ValueError(f"artifact field scale_exponent: {exc}") from None
     qtable = QPwlTable(
-        slopes_fxp=tuple(_field(data, "slopes_fxp", list, int)),
-        intercepts_fxp=tuple(_field(data, "intercepts_fxp", list, int)),
-        breakpoints_q=tuple(_field(data, "breakpoints_q", list, int)),
-        frac_bits=_field(data, "frac_bits", int),
+        slopes_fxp=tuple(json_field(data, "slopes_fxp", list, items=int)),
+        intercepts_fxp=tuple(json_field(data, "intercepts_fxp", list, items=int)),
+        breakpoints_q=tuple(json_field(data, "breakpoints_q", list, items=int)),
+        frac_bits=json_field(data, "frac_bits", int),
         spec=spec,
         scale=scale,
-        source_segments=tuple(_field(data, "source_segments", list, int)),
-        saturated=tuple(_field(data, "saturated", list, str)),
+        source_segments=tuple(json_field(data, "source_segments", list, items=int)),
+        saturated=tuple(json_field(data, "saturated", list, items=str)),
     )
     return qtable, provenance
 

@@ -8,13 +8,13 @@ equal hashes imply byte-identical artifacts.
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
+from ._fields import NULL, NUMBER, ConfigError, json_field, naming
 from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
-from .intsim import DatapathConfig
-from .nonlin import Kind, NonLinSpec, default_spec
+from .intsim import MAX_ACC_BITS, DatapathConfig
+from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec
 from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 
 SCHEMA_VERSION = 1
@@ -39,15 +39,15 @@ RM_RANGES = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; the message names the offending field."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings. Each has one home: the entry count is
     ga.n_breakpoints + 1, lambda is datapath.frac_bits and the fit seeds are
-    seeds (ga.seed is the per-fit copy the fit command fills in)."""
+    seeds (ga.seed is the per-fit copy the fit command fills in).
+
+    plan is the wide-range scaling plan, a preset name or an inline plan. A
+    wide-range function given none gets its int8 preset; a scale-carrying
+    function has none."""
 
     function: Kind
     search_range: tuple[float, float] | None = None
@@ -60,10 +60,10 @@ class RunConfig:
 
     def __post_init__(self):
         for i, e in enumerate(self.scale_exponents):
-            try:
+            with naming(f"scale_exponents[{i}]"):
                 PowTwoScale(e)
-            except ValueError as exc:
-                raise ConfigError(f"invalid field scale_exponents[{i}]: {exc}") from None
+        if self.plan is None and self.function not in SCALE_CARRYING:
+            object.__setattr__(self, "plan", f"{self.function.value}-int8")
 
     @property
     def entries(self) -> int:
@@ -76,10 +76,8 @@ class RunConfig:
         return replace(base, search_range=self.search_range)
 
     def scaling_plan(self) -> RangeScalingPlan:
-        """The multi-range scaling plan for a wide-range run (preset or inline)."""
-        if isinstance(self.plan, RangeScalingPlan):
-            return self.plan
-        return get_plan(self.plan or f"{self.function.value}-int8")
+        """The multi-range scaling plan of a wide-range run (preset or inline)."""
+        return self.plan if isinstance(self.plan, RangeScalingPlan) else get_plan(self.plan)
 
 
 def default_ga_config(
@@ -119,7 +117,6 @@ def default_run_config(
     return RunConfig(
         function=kind,
         ga=default_ga_config(kind, entries),
-        plan=None if kind in (Kind.GELU, Kind.HSWISH, Kind.EXP) else f"{kind.value}-int8",
         seeds=tuple(seeds),
         out_dir=out_dir,
     )
@@ -141,8 +138,23 @@ def _plan_to_value(plan):
     }
 
 
+def _known(data: dict, keys, owner: str = "") -> dict:
+    """data, after rejecting any key the schema does not know."""
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"unknown field {owner}.{key}" if owner else f"unknown field {key}")
+    return data
+
+
+def _object(data: dict, name: str) -> dict:
+    """An optional object-valued section holding only the keys the schema gives it."""
+    return _known(json_field(data, name, dict, default={}), _SCHEMA[name], name)
+
+
 def _plan_from_value(value, function: Kind):
     """Plan field: a preset name, an inline plan object, or None."""
+    if value is None:
+        return None
     if isinstance(value, str):
         try:
             preset = get_plan(value)
@@ -154,24 +166,20 @@ def _plan_from_value(value, function: Kind):
                 f"not {function.value}"
             )
         return value
-    if value is None or isinstance(value, RangeScalingPlan):
-        return value
-    try:
-        sub_ranges = tuple(
-            SubRange(
-                lo=float(sr["lo"]),
-                hi=math.inf if sr.get("hi") is None else float(sr["hi"]),
-                scale=PowTwoScale(int(sr["exponent"])),
-            )
-            for sr in value["sub_ranges"]
-        )
-        return RangeScalingPlan(
-            inner_range=tuple(value["inner_range"]),
-            sub_ranges=sub_ranges,
-            op_kind=function,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid field plan: {exc}") from None
+    _known(value, ("inner_range", "sub_ranges"), "plan")
+    inner_range = json_field(value, "inner_range", list, "plan", items=NUMBER, length=2)
+    sub_ranges = []
+    with naming("plan"):
+        for i, sr in enumerate(json_field(value, "sub_ranges", list, "plan", items=dict)):
+            owner = f"plan.sub_ranges[{i}]"
+            _known(sr, ("lo", "hi", "exponent"), owner)
+            hi = json_field(sr, "hi", (*NUMBER, NULL), owner, default=None)
+            sub_ranges.append(SubRange(
+                lo=float(json_field(sr, "lo", NUMBER, owner)),
+                hi=math.inf if hi is None else float(hi),
+                scale=PowTwoScale(json_field(sr, "exponent", int, owner)),
+            ))
+        return RangeScalingPlan(tuple(inner_range), tuple(sub_ranges), op_kind=function)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -208,150 +216,99 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not true/false."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# The keys config_to_dict writes, at every level, are the keys a config may hold.
+_SCHEMA = config_to_dict(RunConfig(Kind.GELU))
 
-
-def _int_list(data: dict, key: str, default) -> tuple[int, ...]:
-    """A list-of-integers field; errors name the field."""
-    value = data.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
-        raise ConfigError(f"invalid field {key}: expected a list of integers, got {value!r}")
-    return tuple(value)
-
-
-def _section(data: dict, key: str) -> dict:
-    """An optional object-valued section; errors name it."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"invalid field {key}: expected an object, got {value!r}")
-    return value
-
-
-def _require(mapping: dict, key: str, section: str):
-    if key not in mapping:
-        raise ConfigError(f"missing field {section}.{key}" if section else f"missing field {key}")
-    return mapping[key]
-
-
-def _check_quant(quant: dict, input_bits: int):
-    """The quant section only restates the datapath's signed input width."""
-    bits = quant.get("bits", input_bits)
-    if type(bits) is not int or bits != input_bits:
-        raise ConfigError(
-            f"invalid field quant.bits: {bits!r} does not match datapath.input_bits {input_bits}"
-        )
-    if quant.get("signed", True) is not True:
-        raise ConfigError(
-            f"invalid field quant.signed: the datapath input is signed, got {quant['signed']!r}"
-        )
-
-
-def _search_range(value) -> tuple[float, float] | None:
-    """search_range: null for the stock range, or two finite numbers."""
-    if value is None:
-        return None
-    # abs(v) <= max also rejects a JSON integer beyond the float range
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value
-    )):
-        raise ConfigError(f"invalid field search_range: expected two finite numbers, got {value!r}")
-    return tuple(value)
-
-
-# GA fields that count something, so must be integers.
-_GA_COUNTS = ("n_breakpoints", "population_size", "iterations")
+# The GA's scalar fields and their JSON types.
+_GA_SCALARS = {
+    "n_breakpoints": int,
+    "population_size": int,
+    "iterations": int,
+    "cross_prob": NUMBER,
+    "mutate_prob": NUMBER,
+    "rm_prob": NUMBER,
+    "gaussian_sigma": (*NUMBER, NULL),
+}
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
-    try:
-        function = Kind(_require(data, "function", ""))
-    except ValueError as exc:
-        raise ConfigError(f"invalid field function: {exc}") from None
-    entries = data.get("entries", 8)
-    if not _is_int(entries) or entries not in (8, 16):
-        raise ConfigError(f"invalid field entries: must be 8 or 16, got {entries!r}")
+    _known(data, _SCHEMA)
+    json_field(data, "schema_version", int, default=SCHEMA_VERSION, choices=(SCHEMA_VERSION,))
+    function = Kind(json_field(data, "function", str, choices=[k.value for k in Kind]))
+    entries = json_field(data, "entries", int, default=8, choices=(8, 16))
 
-    defaults = default_run_config(function, entries)
-    ga_data = _section(data, "ga")
+    ga_data = json_field(data, "ga", dict, default={})
     if "seed" in ga_data:
         raise ConfigError("invalid field ga.seed: the fit seeds are the seeds field")
-    ga_kwargs = {}
-    for key, value in ga_data.items():
-        if key == "fxp_frac_bits":
-            continue  # lambda, which the datapath section owns
-        if key == "mutation_kind":
-            try:
-                value = MutationKind(value)
-            except ValueError:
-                raise ConfigError(
-                    f"invalid field ga.mutation_kind: {value!r} (use 'gaussian' or 'rm')"
-                ) from None
-        elif key == "rm_range":
-            if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(_is_int(v) for v in value)):
-                raise ConfigError(f"invalid field ga.rm_range: expected two integers, got {value!r}")
-            value = tuple(value)
-        elif key in _GA_COUNTS and not _is_int(value):
-            raise ConfigError(f"invalid field ga.{key}: expected an integer, got {value!r}")
-        ga_kwargs[key] = value
-    try:
-        ga = replace(defaults.ga, **ga_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid field ga: {exc}") from None
+    _known(ga_data, _SCHEMA["ga"], "ga")
+    stock_ga = default_ga_config(function, entries)
+    ga_kwargs = {
+        key: json_field(ga_data, key, types, "ga", default=getattr(stock_ga, key))
+        for key, types in _GA_SCALARS.items()
+    }
+    ga_kwargs["rm_range"] = tuple(
+        json_field(ga_data, "rm_range", list, "ga", default=stock_ga.rm_range, items=int, length=2)
+    )
+    ga_kwargs["mutation_kind"] = MutationKind(json_field(
+        ga_data, "mutation_kind", str, "ga", default=stock_ga.mutation_kind.value,
+        choices=[m.value for m in MutationKind],
+    ))
+    with naming("ga"):
+        ga = replace(stock_ga, **ga_kwargs)
     if ga.n_breakpoints != entries - 1:
         raise ConfigError(
             f"invalid field ga.n_breakpoints: {ga.n_breakpoints} does not match "
             f"entries {entries} (expected {entries - 1})"
         )
 
-    # lambda is datapath.frac_bits; schema v1 also accepts it as ga.fxp_frac_bits
-    dp_data = _section(data, "datapath")
-    frac_bits = dp_data.get("frac_bits", ga_data.get("fxp_frac_bits", 5))
-    if ga_data.get("fxp_frac_bits", frac_bits) != frac_bits:
+    # lambda is datapath.frac_bits, which schema v1 also accepts as
+    # ga.fxp_frac_bits; it is no wider than the int64 datapath's mantissas.
+    lambdas = range(MAX_ACC_BITS + 1)
+    via_ga = json_field(ga_data, "fxp_frac_bits", int, "ga", default=DatapathConfig().frac_bits,
+                        choices=lambdas)
+    dp_data = _object(data, "datapath")
+    frac_bits = json_field(dp_data, "frac_bits", int, "datapath", default=via_ga, choices=lambdas)
+    if frac_bits != via_ga and "fxp_frac_bits" in ga_data:
         raise ConfigError(
-            f"invalid field datapath.frac_bits: {frac_bits!r} does not match "
-            f"ga.fxp_frac_bits {ga_data['fxp_frac_bits']!r} (both set lambda)"
+            f"invalid field datapath.frac_bits: {frac_bits} does not match "
+            f"ga.fxp_frac_bits {via_ga} (both set lambda)"
         )
-    dp_kwargs = {
-        "input_bits": dp_data.get("input_bits", 8),
-        "param_bits": dp_data.get("param_bits", 16),
-        "frac_bits": frac_bits,
-        "acc_bits": dp_data.get("acc_bits"),
-    }
-    for key, value in dp_kwargs.items():
-        if not (_is_int(value) or key == "acc_bits" and value is None):
-            raise ConfigError(f"invalid field datapath.{key}: expected an integer, got {value!r}")
-    try:
-        datapath = DatapathConfig(**dp_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid field datapath: {exc}") from None
-    _check_quant(_section(data, "quant"), datapath.input_bits)
+    with naming("datapath"):
+        datapath = DatapathConfig(frac_bits=frac_bits, **{
+            key: json_field(dp_data, key, types, "datapath")
+            for key, types in (("input_bits", int), ("param_bits", int), ("acc_bits", (int, NULL)))
+            if key in dp_data
+        })
 
-    output = _section(data, "output")
-    out_dir = output.get("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"invalid field output.dir: expected a string, got {out_dir!r}")
+    # quant only restates the datapath's signed input width
+    quant = _object(data, "quant")
+    bits = json_field(quant, "bits", int, "quant", default=datapath.input_bits)
+    if bits != datapath.input_bits:
+        raise ConfigError(
+            f"invalid field quant.bits: {bits} does not match datapath.input_bits "
+            f"{datapath.input_bits}"
+        )
+    if not json_field(quant, "signed", bool, "quant", default=True):
+        raise ConfigError("invalid field quant.signed: the datapath input is signed, got false")
+
+    search_range = json_field(data, "search_range", (list, NULL), default=None,
+                              items=NUMBER, length=2)
     cfg = RunConfig(
         function=function,
-        search_range=_search_range(data.get("search_range")),
+        search_range=None if search_range is None else tuple(search_range),
         ga=ga,
-        scale_exponents=_int_list(data, "scale_exponents", DEFAULT_SCALE_EXPONENTS),
-        plan=_plan_from_value(data.get("plan", defaults.plan), function),
+        scale_exponents=tuple(
+            json_field(data, "scale_exponents", list, default=DEFAULT_SCALE_EXPONENTS, items=int)
+        ),
+        plan=_plan_from_value(json_field(data, "plan", (str, dict, NULL), default=None), function),
         datapath=datapath,
-        seeds=_int_list(data, "seeds", (0,)),
-        out_dir=out_dir,
+        seeds=tuple(json_field(data, "seeds", list, default=(0,), items=int)),
+        out_dir=json_field(_object(data, "output"), "dir", str, "output", default="out"),
     )
-    try:
+    with naming("search_range"):
         cfg.spec()
-    except ValueError as exc:
-        raise ConfigError(f"invalid field search_range: {exc}") from None
     if not cfg.seeds:
         raise ConfigError("invalid field seeds: at least one seed required")
     return cfg

@@ -127,13 +127,11 @@ def crossover(
     )
 
 
-def gaussian_mutate(
-    p: BreakpointSet, sigma: float, spec: NonLinSpec, rng: np.random.Generator
-) -> BreakpointSet:
+def gaussian_mutate(p: BreakpointSet, sigma: float, rng: np.random.Generator) -> BreakpointSet:
     """Perturb every breakpoint with N(0, sigma^2), clip to the range, repair."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lo, hi = spec.search_range
+    lo, hi = p.search_range
     noise = rng.normal(0.0, sigma, size=len(p)).tolist()
     noisy = [min(max(x + e, lo), hi) for x, e in zip(p.points, noise)]
     return repaired_breakpoints(noisy, p.search_range)
@@ -240,7 +238,7 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
                 inds[i], inds[j] = crossover(inds[i], inds[j], rng)
             if rand_m < cfg.mutate_prob:
                 if cfg.mutation_kind is MutationKind.GAUSSIAN:
-                    inds[i] = gaussian_mutate(inds[i], sigma, spec, rng)
+                    inds[i] = gaussian_mutate(inds[i], sigma, rng)
                 else:
                     inds[i] = rounding_mutate(inds[i], cfg, rng)
         if log is not None:

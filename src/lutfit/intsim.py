@@ -46,8 +46,11 @@ class DatapathConfig:
     def __post_init__(self):
         if self.input_bits < 1 or self.param_bits < 1:
             raise ValueError("input_bits and param_bits must be >= 1")
-        if self.frac_bits < 0:
-            raise ValueError(f"frac_bits must be >= 0, got {self.frac_bits}")
+        if not 0 <= self.frac_bits <= MAX_ACC_BITS:
+            raise ValueError(
+                f"frac_bits {self.frac_bits} outside 0..{MAX_ACC_BITS}, "
+                f"the widest mantissa int64 holds"
+            )
         if self.acc_bits is not None and self.acc_bits < self.input_bits + self.param_bits:
             raise ValueError(
                 f"acc_bits {self.acc_bits} below input_bits + param_bits "

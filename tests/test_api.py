@@ -11,16 +11,31 @@ import sys
 import lutfit
 from lutfit.artifacts import Provenance, write_fit_artifact
 from lutfit.cli import main
+from lutfit.config import config_from_dict
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 
-TRACED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "traced.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACED = os.path.join(PERFBENCH, "traced.py")
+WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 SRC = os.path.dirname(os.path.dirname(lutfit.__file__))
 
 
 def test_all_names_resolve():
     missing = [name for name in lutfit.__all__ if not hasattr(lutfit, name)]
     assert not missing, missing
+
+
+def test_benchmark_workload_configs_load():
+    # The reader rejects keys the schema does not know; the benchmark's
+    # run configs must still load.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [c for name in workloads.WORKLOADS for c in workloads.build(name, 0).configs.values()]
+    assert configs
+    for data in configs:
+        config_from_dict(data)
 
 
 def test_traced_layers_resolve():

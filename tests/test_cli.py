@@ -100,6 +100,43 @@ def test_config_round_trip_and_hash(tmp_path):
     assert config_hash(via_ga) == config_hash(via_datapath)
 
 
+def _inline_plan(**first):
+    """A div config with an inline plan whose first sub-range is updated by first."""
+    return {"function": "div", "plan": {"inner_range": [0.5, 4.0], "sub_ranges": [
+        {"lo": 4.0, "hi": 32.0, "exponent": -3, **first},
+        {"lo": 32.0, "hi": None, "exponent": -6},
+    ]}}
+
+
+# Configs the reader rejects, each with the start of its error message.
+MALFORMED_CONFIG = {
+    # true/false and strings are not numbers, nor is a fraction an integer
+    "plan-exponent-fraction": (_inline_plan(exponent=-3.7),
+                               "invalid field plan.sub_ranges[0].exponent:"),
+    "plan-exponent-bool": (_inline_plan(exponent=True),
+                           "invalid field plan.sub_ranges[0].exponent:"),
+    "plan-lo-string": (_inline_plan(lo="4.0"), "invalid field plan.sub_ranges[0].lo:"),
+    "cross_prob-bool": ({"function": "gelu", "ga": {"cross_prob": True}},
+                        "invalid field ga.cross_prob:"),
+    "cross_prob-string": ({"function": "gelu", "ga": {"cross_prob": "0.7"}},
+                          "invalid field ga.cross_prob:"),
+    "gaussian_sigma-bool": ({"function": "gelu", "ga": {"gaussian_sigma": True}},
+                            "invalid field ga.gaussian_sigma:"),
+    # lambda is no wider than the mantissas the int64 datapath holds
+    "frac_bits-64": ({"function": "gelu", "datapath": {"frac_bits": 64}},
+                     "invalid field datapath.frac_bits:"),
+    "frac_bits-1100": ({"function": "gelu", "datapath": {"frac_bits": 1100}},
+                       "invalid field datapath.frac_bits:"),
+    "fxp_frac_bits-1100": ({"function": "gelu", "ga": {"fxp_frac_bits": 1100}},
+                           "invalid field ga.fxp_frac_bits:"),
+    # a key the schema does not know, at any level
+    "unknown-section": ({"function": "gelu", "datapth": {"frac_bits": 6}},
+                        "unknown field datapth"),
+    "unknown-ga-key": ({"function": "gelu", "ga": {"popsize": 10}}, "unknown field ga.popsize"),
+    "unknown-plan-key": (_inline_plan(scale=-3), "unknown field plan.sub_ranges[0].scale"),
+}
+
+
 def test_config_errors_name_offending_field():
     with pytest.raises(ConfigError, match="function"):
         config_from_dict({"entries": 8})
@@ -152,6 +189,19 @@ def test_config_errors_name_offending_field():
                          ([16], "quant")):
         with pytest.raises(ConfigError, match=f"invalid field {field}:"):
             config_from_dict({"function": "gelu", "quant": quant})
+    for config, message in MALFORMED_CONFIG.values():
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(config)
+        assert str(exc.value).startswith(message), exc.value
+
+
+def test_config_null_plan_is_the_stock_preset():
+    # a wide-range config without a plan runs its int8 preset, so it is the
+    # stock config and hashes as such
+    stock = default_run_config("div")
+    for data in ({"function": "div", "plan": None}, {"function": "div"}, config_to_dict(stock)):
+        assert config_from_dict(json.loads(json.dumps(data))) == stock
+    assert config_to_dict(stock)["plan"] == "div-int8"
 
 
 def test_config_inline_scaling_plan_round_trip():
@@ -568,6 +618,8 @@ MALFORMED_FIT = {
     "slopes:inf": lambda d: d["slopes"].__setitem__(1, math.inf),
     # finite, but its mantissa at lambda fractional bits is not
     "slopes:1e308": lambda d: d["slopes"].__setitem__(1, 1e308),
+    # a number is not a boolean
+    "function.scale_carrying": lambda d: d["function"].update(scale_carrying=1),
     "provenance": lambda d: d.update(provenance=[1]),
     "provenance.seed": lambda d: d["provenance"].update(seed="x; DROP"),
     "provenance.config_hash": lambda d: d["provenance"].update(config_hash=5),
@@ -601,9 +653,39 @@ def test_main_malformed_artifact_names_field(tmp_path, capsys, case):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIG))
+def test_main_malformed_config_names_field(tmp_path, capsys, case):
+    config, message = MALFORMED_CONFIG[case]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    table_path = str(tmp_path / "t.fit.json")
+    _write_fit(table_path, config["function"])
+    out = str(tmp_path / "out")
+    for argv in (["fit", "--iterations", "1"], ["eval", "--table", table_path]):
+        assert main([*argv, "--config", str(cfg_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+    assert not os.path.exists(out)
+
+
+def test_main_eval_reports_the_plan_that_ran(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_fit(table_path, "div")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "div", "plan": None}))
+    reports = []
+    for name, extra in (("null", ["--config", str(cfg_path)]), ("stock", [])):
+        out = str(tmp_path / name)
+        assert main(["eval", "--table", table_path, "--out", out, *extra]) == 0
+        with open(os.path.join(out, "t_report.json")) as fh:
+            reports.append(json.load(fh))
+    assert reports[0] == reports[1]
+    assert reports[0]["plan"] == "div-int8"
+
+
 def test_main_out_of_range_scale_exponents_name_the_flag(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
+    _write_fit(table_path, "gelu")
     out = str(tmp_path / "out")
     for exponent in ("1100", "-2000"):
         for argv, field in (
@@ -619,7 +701,7 @@ def test_main_out_of_range_scale_exponents_name_the_flag(tmp_path, capsys):
 
 def test_main_eval_takes_function_and_entries_from_artifact(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
+    _write_fit(table_path, "gelu")
     for flag in (["--function", "gelu"], ["--entries", "8"]):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--table", table_path, *flag, "--out", str(tmp_path / "out")])
@@ -653,14 +735,16 @@ def test_main_conflicting_function_flag(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
-def _write_gelu_fit(path: str):
-    bps = BreakpointSet(points=(-1.3, 0.7), search_range=GELU.search_range)
-    write_fit_artifact(path, fxp_round_table(derive_table(GELU, bps), 5), Provenance("abc", 0))
+def _write_fit(path: str, function: str):
+    spec = default_spec(function)
+    points = {"gelu": (-1.3, 0.7), "div": (1.0, 2.0)}[function]
+    bps = BreakpointSet(points=points, search_range=spec.search_range)
+    write_fit_artifact(path, fxp_round_table(derive_table(spec, bps), 5), Provenance("abc", 0))
 
 
 def test_main_export_field_widths_come_from_config(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
+    _write_fit(table_path, "gelu")
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"function": "gelu", "datapath": {"param_bits": 12}}))
     out = str(tmp_path / "out")
@@ -687,7 +771,7 @@ def test_main_quant_section_only_restates_input_width(tmp_path):
     # a 16-bit datapath sweeps a 16-bit quantizer, with or without the
     # quant section restating it
     table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
+    _write_fit(table_path, "gelu")
     table, _ = read_artifact(table_path)
     per_scale = sweep_scales(table, (-6, -5), DatapathConfig(input_bits=16)).per_scale
     assert per_scale[0] != sweep_scales(table, (-6,)).per_scale[0]
@@ -706,7 +790,7 @@ def test_main_quant_section_only_restates_input_width(tmp_path):
 
 def test_main_config_function_must_match_artifact(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
+    _write_fit(table_path, "gelu")
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"function": "exp"}))
     out = str(tmp_path / "out")
@@ -722,7 +806,7 @@ def test_main_config_function_must_match_artifact(tmp_path, capsys):
 
 def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
-    _write_gelu_fit(table_path)
+    _write_fit(table_path, "gelu")
     out = str(tmp_path / "out")
     argv = ["export", "--table", table_path, "--format", "data", "--scale-exp", "-5"]
     assert main([*argv, "--out", out]) == 0

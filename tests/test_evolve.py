@@ -130,13 +130,13 @@ def test_crossover_rejects_mismatched_parents():
 def test_gaussian_mutate_degenerate_noise_is_identity():
     # nonzero points absorb 1e-300 noise exactly
     p = bset([-2, 0.5, 2])
-    assert gaussian_mutate(p, 1e-300, GELU, make_rng(3)) == p
+    assert gaussian_mutate(p, 1e-300, make_rng(3)) == p
 
 
 def test_gaussian_mutate_bounds_and_determinism():
     p = bset([-3.9, 0, 3.9])
-    a = gaussian_mutate(p, 2.0, GELU, make_rng(9))
-    b = gaussian_mutate(p, 2.0, GELU, make_rng(9))
+    a = gaussian_mutate(p, 2.0, make_rng(9))
+    b = gaussian_mutate(p, 2.0, make_rng(9))
     assert a == b
     pts = np.asarray(a.points)
     assert pts[0] >= -4.0 and pts[-1] <= 4.0
@@ -476,7 +476,7 @@ def test_gaussian_mutate_matches_reference(case, sigma_share, seed):
     lo, hi = spec.search_range
     sigma = sigma_share * (hi - lo)
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    out = gaussian_mutate(p, sigma, spec, rng)
+    out = gaussian_mutate(p, sigma, rng)
     assert bits(out.points) == bits(reference_gaussian_mutate(p, sigma, spec, ref_rng))
     assert next_draws(rng) == next_draws(ref_rng)
 
