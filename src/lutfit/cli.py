@@ -6,7 +6,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 from .artifacts import (
@@ -19,15 +18,9 @@ from .artifacts import (
     write_fit_artifact,
     write_qtable_artifact,
 )
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_hash,
-    default_run_config,
-    load_config,
-)
+from .config import ConfigError, RunConfig, config_hash, config_to_dict, load_config
 from .evalbench import sweep_scales, wide_range_mse
-from .evolve import MutationKind, evolve
+from .evolve import evolve
 from .intsim import AccumulatorOverflow
 from .nonlin import Kind
 from .pwl import PwlTable, fitness_mse, fitness_scorer, fxp_round_table
@@ -39,10 +32,10 @@ from .quant import (
 )
 
 
-def _fit_one(spec, frac_bits, ga_cfg):
+def _fit_one(spec, frac_bits, ga_cfg, seed):
     log: list = []
-    table = fxp_round_table(evolve(spec, ga_cfg, log=log), frac_bits)
-    return ga_cfg.seed, table, log
+    table = fxp_round_table(evolve(spec, ga_cfg, seed, log=log), frac_bits)
+    return seed, table, log
 
 
 def _artifact_stem(cfg: RunConfig) -> str:
@@ -57,9 +50,8 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     spec = cfg.spec()
     chash = config_hash(cfg)
-    fit_one = partial(_fit_one, spec, cfg.datapath.frac_bits)
-    ga_cfgs = [replace(cfg.ga, seed=seed) for seed in cfg.seeds]
-    if jobs > 1 and len(ga_cfgs) > 1:
+    fit_one = partial(_fit_one, spec, cfg.datapath.frac_bits, cfg.ga)
+    if jobs > 1 and len(cfg.seeds) > 1:
         # Only a pooled fit pays for importing multiprocessing. Building the
         # scorer loads numpy and the fitness grid in the parent, so the
         # workers the pool forks at the first submit inherit both instead of
@@ -67,10 +59,10 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
         from concurrent.futures import ProcessPoolExecutor
 
         fitness_scorer(spec)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ga_cfgs))) as pool:
-            results = list(pool.map(fit_one, ga_cfgs))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cfg.seeds))) as pool:
+            results = list(pool.map(fit_one, cfg.seeds))
     else:
-        results = [fit_one(g) for g in ga_cfgs]
+        results = [fit_one(seed) for seed in cfg.seeds]
 
     stem = _artifact_stem(cfg)
     written = []
@@ -209,47 +201,48 @@ def cmd_export(
     return path
 
 
-def _parse_ints(text: str, field: str) -> tuple[int, ...]:
+# The config field each flag sets; a list flag is comma-separated integers.
+FLAG_FIELDS = {
+    "function": "function",
+    "entries": "entries",
+    "seeds": "seeds",
+    "scales": "scale_exponents",
+    "iterations": "ga.iterations",
+    "mutation": "ga.mutation_kind",
+    "out": "output.dir",
+}
+LIST_FLAGS = ("seeds", "scales")
+
+
+def _parse_ints(text: str, field: str) -> list[int]:
     """Comma-separated integers of a list flag; errors name the config field."""
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip() != "")
+        return [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"invalid field {field}: {text!r}") from None
 
 
-def _build_config(args, artifact_function: Kind | None = None) -> RunConfig:
-    """The run config of a command: --config or the stock config of the
-    function, with the command's flags applied. Without either, the function
-    is artifact_function, that of the table artifact eval and export read."""
-    function = getattr(args, "function", None)
+def _build_config(args, artifact_function: str | None = None) -> RunConfig:
+    """The run config of a command, from one load_config call: the --config
+    file with each given flag written into the field it sets. Without a file,
+    the flags alone, the function being artifact_function (that of the table
+    artifact eval and export read) when --function is not given. With a file,
+    --function and --entries only restate its values."""
+    fields = {}
+    for flag, name in FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            fields[name] = _parse_ints(value, name) if flag in LIST_FLAGS else value
+    restated = {}
     if args.config:
-        cfg = load_config(args.config)
-        if function and Kind(function) != cfg.function:
-            raise ConfigError(
-                f"--function {function} conflicts with config function {cfg.function.value}"
-            )
-        if getattr(args, "entries", None) and args.entries != cfg.entries:
-            raise ConfigError(
-                f"--entries {args.entries} conflicts with config entries {cfg.entries}"
-            )
-    else:
-        function = function or artifact_function
-        if not function:
-            raise ConfigError("missing field function: pass --function or --config")
-        cfg = default_run_config(function, getattr(args, "entries", None) or 8)
-    ga = cfg.ga
-    if getattr(args, "mutation", None):
-        kind = MutationKind.GAUSSIAN if args.mutation == "gaussian" else MutationKind.ROUNDING
-        ga = replace(ga, mutation_kind=kind)
-    if getattr(args, "iterations", None) is not None:
-        ga = replace(ga, iterations=args.iterations)
-    cfg = replace(cfg, ga=ga)
-    if getattr(args, "seeds", None):
-        cfg = replace(cfg, seeds=_parse_ints(args.seeds, "seeds"))
-    if getattr(args, "scales", None):
-        cfg = replace(cfg, scale_exponents=_parse_ints(args.scales, "scale_exponents"))
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=args.out)
+        restated = {name: fields.pop(name) for name in ("function", "entries") if name in fields}
+    elif artifact_function:
+        fields.setdefault("function", artifact_function)
+    cfg = load_config(args.config, fields)
+    for name, value in restated.items():
+        stored = config_to_dict(cfg)[name]
+        if value != stored:
+            raise ConfigError(f"--{name} {value} conflicts with config {name} {stored}")
     return cfg
 
 
@@ -297,7 +290,7 @@ def main(argv=None) -> int:
             written = cmd_fit(_build_config(args), jobs=args.jobs)
         else:
             artifact = read_artifact(args.table)
-            cfg = _build_config(args, artifact[0].spec.kind)
+            cfg = _build_config(args, artifact[0].spec.kind.value)
             if args.command == "eval":
                 written = cmd_eval(cfg, args.table, artifact)
             else:

@@ -43,7 +43,7 @@ RM_RANGES = {
 class RunConfig:
     """One run's settings. Each has one home: the entry count is
     ga.n_breakpoints + 1, lambda is datapath.frac_bits and the fit seeds are
-    seeds (ga.seed is the per-fit copy the fit command fills in).
+    seeds.
 
     plan is the wide-range scaling plan, a preset name or an inline plan. A
     wide-range function given none gets its int8 preset; a scale-carrying
@@ -80,12 +80,7 @@ class RunConfig:
         return self.plan if isinstance(self.plan, RangeScalingPlan) else get_plan(self.plan)
 
 
-def default_ga_config(
-    kind: Kind | str,
-    entries: int = 8,
-    mutation_kind: MutationKind | None = None,
-    seed: int = 0,
-) -> GaConfig:
+def default_ga_config(kind: Kind | str, entries: int = 8) -> GaConfig:
     """Stock GA hyperparameters for one operator at one entry count.
 
     Scale-carrying operators default to rounding mutation with their
@@ -96,29 +91,11 @@ def default_ga_config(
     if entries not in (8, 16):
         raise ConfigError(f"entries must be 8 or 16, got {entries}")
     rm_prob = RM_PROB[kind]
-    if mutation_kind is None:
-        mutation_kind = MutationKind.ROUNDING if rm_prob > 0 else MutationKind.GAUSSIAN
     return GaConfig(
         n_breakpoints=entries - 1,
         rm_prob=rm_prob,
         rm_range=RM_RANGES.get((kind, entries), (0, 6)),
-        mutation_kind=mutation_kind,
-        seed=seed,
-    )
-
-
-def default_run_config(
-    kind: Kind | str,
-    entries: int = 8,
-    seeds=(0,),
-    out_dir: str = "out",
-) -> RunConfig:
-    kind = Kind(kind)
-    return RunConfig(
-        function=kind,
-        ga=default_ga_config(kind, entries),
-        seeds=tuple(seeds),
-        out_dir=out_dir,
+        mutation_kind=MutationKind.ROUNDING if rm_prob > 0 else MutationKind.GAUSSIAN,
     )
 
 
@@ -314,12 +291,26 @@ def config_from_dict(data: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+def load_config(path: str | None = None, fields: dict | None = None) -> RunConfig:
+    """The run config of the JSON file at path, or of an empty tree, with
+    fields written over it. fields maps dotted field paths, such as
+    ga.iterations, to JSON values; a section that is not an object is left
+    as it is, for the reader to reject."""
+    data = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    for name, value in (fields or {}).items():
+        *sections, key = name.split(".")
+        node = data
+        for section in sections:
+            if isinstance(node, dict):
+                node = node.setdefault(section, {})
+        if isinstance(node, dict):
+            node[key] = value
     return config_from_dict(data)
 
 

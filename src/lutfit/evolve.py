@@ -16,7 +16,7 @@ and no result. Variation runs on plain float tuples: with a handful of
 breakpoints per individual, numpy's per-call overhead would cost more than
 the arithmetic.
 
-The RNG is numpy's counter-based Philox, so a (spec, config) pair fixes the
+The RNG is numpy's counter-based Philox, so a (spec, config, seed) triple fixes the
 returned table bit-exactly on any platform.
 """
 
@@ -58,7 +58,6 @@ class GaConfig:
     iterations: int = 500
     mutation_kind: MutationKind = MutationKind.ROUNDING
     gaussian_sigma: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_breakpoints < 1:
@@ -183,8 +182,9 @@ def _tournament_picks(fitnesses, rng: np.random.Generator, rounds: int = 3) -> l
     return [min(row, key=lambda c: (fitnesses[c], c)) for row in entrants]
 
 
-def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable:
-    """Run the full genetic search and return the best table.
+def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) -> PwlTable:
+    """Run the full genetic search from the Philox stream of seed and return
+    the best table.
 
     Each generation walks the population in index order: an individual is
     scored first, then crossed over with probability cross_prob (partner
@@ -206,7 +206,7 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, log: list | None = None) -> PwlTable
     fractional bits. If log is given, (generation, best_mse) pairs are
     appended per generation plus a final entry for the returned individual.
     """
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     inds = init_population(cfg, spec, rng)
     scorer = fitness_scorer(spec)
     fitness = [0.0] * cfg.population_size

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from lutfit.cli import cmd_fit
-from lutfit.config import default_ga_config, default_run_config
+from lutfit.config import config_from_dict, default_ga_config
 from lutfit.evalbench import quant_aware_mse, sweep_scales, wide_range_mse
 from lutfit.evolve import GaConfig, MutationKind, evolve, make_rng, rounding_mutate
 from lutfit.intsim import DatapathConfig, int_pwl, segment_index
@@ -85,12 +85,14 @@ def float_segment_index(table, x: np.ndarray) -> np.ndarray:
 def get_fit(kind, entries=8, seed=0, mutation=None, n_breakpoints=None):
     key = (kind, entries, seed, mutation, n_breakpoints)
     if key not in _fit_cache:
-        cfg = default_ga_config(kind, entries, mutation_kind=mutation, seed=seed)
+        cfg = default_ga_config(kind, entries)
+        if mutation is not None:
+            cfg = replace(cfg, mutation_kind=mutation)
         if n_breakpoints is not None:
             cfg = replace(cfg, n_breakpoints=n_breakpoints)
         spec = default_spec(kind)
         start = time.monotonic()
-        _fit_cache[key] = fxp_round_table(evolve(spec, cfg), LAMBDA)
+        _fit_cache[key] = fxp_round_table(evolve(spec, cfg, seed), LAMBDA)
         _fit_seconds[key] = time.monotonic() - start
     return _fit_cache[key]
 
@@ -139,7 +141,7 @@ def test_criterion_2_wide_range_operators():
         plan = get_plan(f"{kind.value}-int8")
         values = []
         for seed in SEEDS:
-            cfg = default_ga_config(kind, 8, seed=seed)
+            cfg = default_ga_config(kind, 8)
             assert cfg.rm_prob == 0.0  # rounding mutation disabled for these
             values.append(wide_range_mse(get_fit(kind, 8, seed), plan))
         med = statistics.median(values)
@@ -279,8 +281,8 @@ def test_criterion_6_property_suite():
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
         for name in ("a", "b"):
-            cfg = default_run_config("gelu", 8, seeds=(11,), out_dir=os.path.join(tmp, name))
-            cfg = replace(cfg, ga=replace(cfg.ga, iterations=40))
+            cfg = config_from_dict({"function": "gelu", "seeds": [11], "ga": {"iterations": 40},
+                                    "output": {"dir": os.path.join(tmp, name)}})
             runs.append([open(p, "rb").read() for p in cmd_fit(cfg)])
         ok_det = runs[0] == runs[1]
     results.append(("determinism", ok_det, "byte-identical artifacts"))

@@ -23,7 +23,6 @@ from lutfit.config import (
     config_hash,
     config_to_dict,
     default_ga_config,
-    default_run_config,
     load_config,
 )
 from lutfit.evalbench import sweep_scales
@@ -40,10 +39,9 @@ GELU = default_spec(Kind.GELU)
 
 
 def tiny_config(tmp_path, **kw):
-    cfg = default_run_config("gelu", 8, seeds=(0,), out_dir=str(tmp_path / "out"))
-    ga = replace(cfg.ga, population_size=10, iterations=5)
-    cfg = replace(cfg, ga=ga, **kw)
-    return cfg
+    cfg = config_from_dict({"function": "gelu", "ga": {"population_size": 10, "iterations": 5},
+                            "output": {"dir": str(tmp_path / "out")}})
+    return replace(cfg, **kw)
 
 
 def _signed_field(word: int, shift: int, bits: int) -> int:
@@ -68,7 +66,7 @@ def test_default_ga_configs_match_stock_hyperparameters():
     assert cfg.cross_prob == 0.7
     assert cfg.mutate_prob == 0.2
     assert cfg.iterations == 500
-    assert default_run_config("gelu").datapath.frac_bits == 5
+    assert config_from_dict({"function": "gelu"}).datapath.frac_bits == 5
     assert cfg.rm_prob == 0.05
     assert cfg.rm_range == (0, 6)
     assert cfg.mutation_kind is MutationKind.ROUNDING
@@ -198,8 +196,8 @@ def test_config_errors_name_offending_field():
 def test_config_null_plan_is_the_stock_preset():
     # a wide-range config without a plan runs its int8 preset, so it is the
     # stock config and hashes as such
-    stock = default_run_config("div")
-    for data in ({"function": "div", "plan": None}, {"function": "div"}, config_to_dict(stock)):
+    stock = config_from_dict({"function": "div"})
+    for data in ({"function": "div", "plan": None}, config_to_dict(stock)):
         assert config_from_dict(json.loads(json.dumps(data))) == stock
     assert config_to_dict(stock)["plan"] == "div-int8"
 
@@ -518,8 +516,8 @@ def test_cmd_eval_scale_carrying(tmp_path):
 
 
 def test_cmd_eval_wide_range(tmp_path):
-    cfg = default_run_config("div", 8, seeds=(0,), out_dir=str(tmp_path / "out"))
-    cfg = replace(cfg, ga=replace(cfg.ga, population_size=10, iterations=5))
+    cfg = config_from_dict({"function": "div", "ga": {"population_size": 10, "iterations": 5},
+                            "output": {"dir": str(tmp_path / "out")}})
     paths = cmd_fit(cfg)
     written = cmd_eval(cfg, paths[0])
     report = json.loads(open(written[-1]).read())
@@ -537,8 +535,8 @@ def test_cmd_eval_rejects_quantized_artifact(tmp_path):
 
 
 def test_cmd_export_wide_range_table(tmp_path):
-    cfg = default_run_config("rsqrt", 8, seeds=(0,), out_dir=str(tmp_path / "out"))
-    cfg = replace(cfg, ga=replace(cfg.ga, population_size=10, iterations=5))
+    cfg = config_from_dict({"function": "rsqrt", "ga": {"population_size": 10, "iterations": 5},
+                            "output": {"dir": str(tmp_path / "out")}})
     paths = cmd_fit(cfg)
     # wide-range tables need no scale exponent; fields are 8-bit fixed point
     path = cmd_export(replace(cfg, out_dir=str(tmp_path / "exp")), paths[0], "data")

@@ -41,7 +41,7 @@ def bset(points, search_range=(-4.0, 4.0)):
 
 
 def small_cfg(**kw):
-    base = dict(n_breakpoints=5, population_size=12, iterations=30, seed=0)
+    base = dict(n_breakpoints=5, population_size=12, iterations=30)
     base.update(kw)
     return GaConfig(**base)
 
@@ -73,7 +73,7 @@ def test_init_population_shape_and_bounds():
 
 
 def test_init_population_deterministic():
-    cfg = GaConfig(n_breakpoints=7, population_size=20, seed=5)
+    cfg = GaConfig(n_breakpoints=7, population_size=20)
     a = init_population(cfg, GELU, make_rng(5))
     b = init_population(cfg, GELU, make_rng(5))
     assert a == b
@@ -223,15 +223,15 @@ def test_tournament_best_copy_expectation():
 
 
 def test_evolve_deterministic():
-    cfg = small_cfg(seed=123)
-    a = evolve(GELU, cfg)
-    b = evolve(GELU, cfg)
+    cfg = small_cfg()
+    a = evolve(GELU, cfg, 123)
+    b = evolve(GELU, cfg, 123)
     assert a == b
 
 
 def test_evolve_zero_iterations_returns_best_initial():
-    cfg = small_cfg(iterations=0, seed=7)
-    table = evolve(GELU, cfg)
+    cfg = small_cfg(iterations=0)
+    table = evolve(GELU, cfg, 7)
 
     # independent replay: the initial population is drawn first from the
     # same stream, so the winner must be its fitness argmin
@@ -243,7 +243,7 @@ def test_evolve_zero_iterations_returns_best_initial():
 def test_evolve_log_tracks_generations():
     log = []
     cfg = small_cfg(iterations=12)
-    evolve(GELU, cfg, log=log)
+    evolve(GELU, cfg, 0, log=log)
     assert len(log) == 13
     assert [g for g, _ in log] == list(range(13))
 
@@ -266,8 +266,8 @@ def test_smoothed_min_fitness_descends():
     # per run, at least 90% of the 20-generation-smoothed steps must not increase
     for seed in range(5):
         log = []
-        cfg = GaConfig(n_breakpoints=7, population_size=50, iterations=100, seed=seed)
-        evolve(GELU, cfg, log=log)
+        cfg = GaConfig(n_breakpoints=7, population_size=50, iterations=100)
+        evolve(GELU, cfg, seed, log=log)
         series = [m for _, m in log[:-1]]
         win = 20
         sm = [sum(series[i : i + win]) / win for i in range(len(series) - win + 1)]
@@ -283,9 +283,8 @@ def test_short_ga_tracks_oracle_on_exp():
         population_size=50,
         iterations=150,
         mutation_kind=MutationKind.GAUSSIAN,
-        seed=3,
     )
-    table = evolve(EXP, cfg)
+    table = evolve(EXP, cfg, 3)
     float_mse = fitness_mse(derive_table(EXP, table.breakpoints), EXP)
     assert float_mse <= 1.3 * oracle_mse
 
@@ -308,8 +307,8 @@ def test_memo_scores_under_half_of_the_walk(monkeypatch):
         return score
 
     monkeypatch.setattr(evolve_module, "fitness_scorer", counting_scorer)
-    cfg = replace(default_ga_config(Kind.GELU, 8), iterations=60, seed=0)
-    evolve(GELU, cfg)
+    cfg = replace(default_ga_config(Kind.GELU, 8), iterations=60)
+    evolve(GELU, cfg, 0)
     assert len(calls) < 0.5 * cfg.population_size * cfg.iterations
 
 

@@ -18,12 +18,11 @@ Gaussian fits clip against other range ends.
 
 import hashlib
 import os
-from dataclasses import replace
 
 import pytest
 
 from lutfit.cli import cmd_fit
-from lutfit.config import default_run_config
+from lutfit.config import config_from_dict
 from lutfit.evolve import MutationKind
 
 GENERATIONS = 60
@@ -85,9 +84,8 @@ FITLOG_GOLDEN = {
 
 @pytest.mark.parametrize("function,entries", sorted(GOLDEN))
 def test_fit_artifacts_match_golden_digests(tmp_path, function, entries):
-    cfg = default_run_config(function, entries, seeds=(0, 1), out_dir=str(tmp_path))
-    cfg = replace(cfg, ga=replace(cfg.ga, iterations=GENERATIONS))
-    cmd_fit(cfg)
+    cmd_fit(config_from_dict({"function": function, "entries": entries, "seeds": [0, 1],
+                              "ga": {"iterations": GENERATIONS}, "output": {"dir": str(tmp_path)}}))
     digests = []
     for seed in (0, 1):
         path = os.path.join(str(tmp_path), f"{function}_{entries}e_seed{seed}.fit.json")
@@ -119,15 +117,17 @@ def test_stock_wide_range_fits_are_gaussian():
     # so the div and rsqrt pins above cover gaussian_mutate
     for function in ("div", "rsqrt"):
         for entries in (8, 16):
-            ga = default_run_config(function, entries).ga
+            ga = config_from_dict({"function": function, "entries": entries}).ga
             assert ga.mutation_kind is MutationKind.GAUSSIAN
 
 
 @pytest.mark.parametrize("function,entries", sorted(GAUSSIAN_GOLDEN))
 def test_gaussian_fit_artifacts_match_golden_digests(tmp_path, function, entries):
-    cfg = default_run_config(function, entries, seeds=(0, 1), out_dir=str(tmp_path))
-    ga = replace(cfg.ga, iterations=GENERATIONS, mutation_kind=MutationKind.GAUSSIAN)
-    cmd_fit(replace(cfg, ga=ga))
+    cmd_fit(config_from_dict({
+        "function": function, "entries": entries, "seeds": [0, 1],
+        "ga": {"iterations": GENERATIONS, "mutation_kind": "gaussian"},
+        "output": {"dir": str(tmp_path)},
+    }))
     stem = os.path.join(str(tmp_path), f"{function}_{entries}e")
     digests = []
     for path in (f"{stem}_seed0.fit.json", f"{stem}_seed1.fit.json", f"{stem}_fitlog.csv"):
