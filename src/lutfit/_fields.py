@@ -20,6 +20,15 @@ class ConfigError(ValueError):
     """A malformed run config or artifact; the message names the offending field."""
 
 
+class FieldError(ValueError):
+    """A check that failed on one field; field is the field's name in the JSON
+    form, which naming joins onto the path of its owner."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _matches(value, types: tuple) -> bool:
     """isinstance, except that true/false is not a number and a number is finite."""
     if isinstance(value, bool):
@@ -74,12 +83,15 @@ def json_field(data: dict, name: str, types, owner: str = "", default=REQUIRED, 
 
 
 @contextmanager
-def naming(path: str):
+def naming(owner: str = ""):
     """Re-raise a ValueError of the block as a ConfigError naming the field at
-    path. A ConfigError, which names its own field, passes through as it is."""
+    owner, or at owner.field for a FieldError. A ConfigError, which names its
+    own field, passes through as it is."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
+        field = exc.field if isinstance(exc, FieldError) else ""
+        path = ".".join(name for name in (owner, field) if name)
         raise ConfigError(f"invalid field {path}: {exc}") from None

@@ -66,12 +66,13 @@ def _spec_to_dict(spec: NonLinSpec) -> dict:
 
 def _spec_from_dict(data: dict) -> NonLinSpec:
     kind = json_field(data, "kind", str, "function", choices=[k.value for k in Kind])
-    return NonLinSpec(
-        kind=Kind(kind),
-        search_range=tuple(json_field(data, "search_range", list, "function", items=NUMBER,
-                                      length=2)),
-        scale_carrying=json_field(data, "scale_carrying", bool, "function"),
-    )
+    with naming("function"):
+        return NonLinSpec(
+            kind=Kind(kind),
+            search_range=tuple(json_field(data, "search_range", list, "function", items=NUMBER,
+                                          length=2)),
+            scale_carrying=json_field(data, "scale_carrying", bool, "function"),
+        )
 
 
 def fit_artifact_text(table: PwlTable, provenance: Provenance) -> str:
@@ -134,7 +135,7 @@ def read_artifact(path: str):
     """Load a JSON artifact; returns (table, Provenance).
 
     The table is a PwlTable for "fit" artifacts and a QPwlTable for
-    "qtable" artifacts.
+    "qtable" artifacts. A value the table rejects is named by its field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -145,29 +146,31 @@ def read_artifact(path: str):
     spec = _spec_from_dict(json_field(data, "function", dict))
     provenance = _provenance_from_dict(json_field(data, "provenance", dict))
     if kind == "fit":
-        table = PwlTable(
-            slopes=tuple(json_field(data, "slopes", list, items=NUMBER)),
-            intercepts=tuple(json_field(data, "intercepts", list, items=NUMBER)),
-            breakpoints=BreakpointSet(
-                points=tuple(json_field(data, "breakpoints", list, items=NUMBER)),
-                search_range=spec.search_range,
-            ),
-            spec=spec,
-        )
+        with naming():
+            table = PwlTable(
+                slopes=tuple(json_field(data, "slopes", list, items=NUMBER)),
+                intercepts=tuple(json_field(data, "intercepts", list, items=NUMBER)),
+                breakpoints=BreakpointSet(
+                    points=tuple(json_field(data, "breakpoints", list, items=NUMBER)),
+                    search_range=spec.search_range,
+                ),
+                spec=spec,
+            )
         return table, provenance
     exponent = json_field(data, "scale_exponent", (int, NULL))
     with naming("scale_exponent"):
         scale = None if exponent is None else PowTwoScale(exponent)
-    qtable = QPwlTable(
-        slopes_fxp=tuple(json_field(data, "slopes_fxp", list, items=int)),
-        intercepts_fxp=tuple(json_field(data, "intercepts_fxp", list, items=int)),
-        breakpoints_q=tuple(json_field(data, "breakpoints_q", list, items=int)),
-        frac_bits=json_field(data, "frac_bits", int),
-        spec=spec,
-        scale=scale,
-        source_segments=tuple(json_field(data, "source_segments", list, items=int)),
-        saturated=tuple(json_field(data, "saturated", list, items=str)),
-    )
+    with naming():
+        qtable = QPwlTable(
+            slopes_fxp=tuple(json_field(data, "slopes_fxp", list, items=int)),
+            intercepts_fxp=tuple(json_field(data, "intercepts_fxp", list, items=int)),
+            breakpoints_q=tuple(json_field(data, "breakpoints_q", list, items=int)),
+            frac_bits=json_field(data, "frac_bits", int),
+            spec=spec,
+            scale=scale,
+            source_segments=tuple(json_field(data, "source_segments", list, items=int)),
+            saturated=tuple(json_field(data, "saturated", list, items=str)),
+        )
     return qtable, provenance
 
 

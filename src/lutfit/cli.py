@@ -38,10 +38,6 @@ def _fit_one(spec, frac_bits, ga_cfg, seed):
     return seed, table, log
 
 
-def _artifact_stem(cfg: RunConfig) -> str:
-    return f"{cfg.function.value}_{cfg.entries}e"
-
-
 def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     """Fit one table per seed, its slopes and intercepts rounded to lambda
     (datapath.frac_bits); writes per-seed artifacts, a best-of-seeds artifact
@@ -64,7 +60,7 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     else:
         results = [fit_one(seed) for seed in cfg.seeds]
 
-    stem = _artifact_stem(cfg)
+    stem = f"{cfg.function.value}_{cfg.entries}e"
     written = []
     best_seed, best_table, best_mse = None, None, None
     log_rows = []
@@ -201,42 +197,31 @@ def cmd_export(
     return path
 
 
-# The config field each flag sets; a list flag is comma-separated integers.
+# The config field each flag sets; --seeds and --scales take comma-separated integers.
 FLAG_FIELDS = {
-    "function": "function",
-    "entries": "entries",
-    "seeds": "seeds",
-    "scales": "scale_exponents",
-    "iterations": "ga.iterations",
-    "mutation": "ga.mutation_kind",
-    "out": "output.dir",
+    "function": "function", "entries": "entries", "seeds": "seeds", "scales": "scale_exponents",
+    "iterations": "ga.iterations", "mutation": "ga.mutation_kind", "out": "output.dir",
 }
-LIST_FLAGS = ("seeds", "scales")
-
-
-def _parse_ints(text: str, field: str) -> list[int]:
-    """Comma-separated integers of a list flag; errors name the config field."""
-    try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"invalid field {field}: {text!r}") from None
 
 
 def _build_config(args, artifact_function: str | None = None) -> RunConfig:
     """The run config of a command, from one load_config call: the --config
-    file with each given flag written into the field it sets. Without a file,
-    the flags alone, the function being artifact_function (that of the table
-    artifact eval and export read) when --function is not given. With a file,
-    --function and --entries only restate its values."""
+    file, or the flags alone, with each given flag written into the field it
+    sets. Without --config and --function, the function is artifact_function,
+    that of the table artifact eval and export read."""
     fields = {}
     for flag, name in FLAG_FIELDS.items():
         value = getattr(args, flag, None)
+        if flag in ("seeds", "scales") and value is not None:
+            try:
+                value = [int(s) for s in value.split(",") if s.strip()]
+            except ValueError:
+                raise ConfigError(f"invalid field {name}: {value!r}") from None
         if value is not None:
-            fields[name] = _parse_ints(value, name) if flag in LIST_FLAGS else value
-    restated = {}
-    if args.config:
-        restated = {name: fields.pop(name) for name in ("function", "entries") if name in fields}
-    elif artifact_function:
+            fields[name] = value
+    # with a file, --function and --entries may only restate its values
+    restated = {n: fields.pop(n) for n in ("function", "entries") if args.config and n in fields}
+    if not args.config and artifact_function:
         fields.setdefault("function", artifact_function)
     cfg = load_config(args.config, fields)
     for name, value in restated.items():

@@ -59,9 +59,15 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        if not self.scale_exponents:
+            raise ConfigError("invalid field scale_exponents: at least one exponent required")
         for i, e in enumerate(self.scale_exponents):
             with naming(f"scale_exponents[{i}]"):
                 PowTwoScale(e)
+        if not self.seeds:
+            raise ConfigError("invalid field seeds: at least one seed required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"invalid field seeds: {list(self.seeds)} repeats a seed")
         if self.plan is None and self.function not in SCALE_CARRYING:
             object.__setattr__(self, "plan", f"{self.function.value}-int8")
 
@@ -151,11 +157,10 @@ def _plan_from_value(value, function: Kind):
             owner = f"plan.sub_ranges[{i}]"
             _known(sr, ("lo", "hi", "exponent"), owner)
             hi = json_field(sr, "hi", (*NUMBER, NULL), owner, default=None)
-            sub_ranges.append(SubRange(
-                lo=float(json_field(sr, "lo", NUMBER, owner)),
-                hi=math.inf if hi is None else float(hi),
-                scale=PowTwoScale(json_field(sr, "exponent", int, owner)),
-            ))
+            lo = float(json_field(sr, "lo", NUMBER, owner))
+            with naming(f"{owner}.exponent"):
+                scale = PowTwoScale(json_field(sr, "exponent", int, owner))
+            sub_ranges.append(SubRange(lo, math.inf if hi is None else float(hi), scale))
         return RangeScalingPlan(tuple(inner_range), tuple(sub_ranges), op_kind=function)
 
 
@@ -284,18 +289,15 @@ def config_from_dict(data: dict) -> RunConfig:
         seeds=tuple(json_field(data, "seeds", list, default=(0,), items=int)),
         out_dir=json_field(_object(data, "output"), "dir", str, "output", default="out"),
     )
-    with naming("search_range"):
+    with naming():
         cfg.spec()
-    if not cfg.seeds:
-        raise ConfigError("invalid field seeds: at least one seed required")
     return cfg
 
 
 def load_config(path: str | None = None, fields: dict | None = None) -> RunConfig:
-    """The run config of the JSON file at path, or of an empty tree, with
-    fields written over it. fields maps dotted field paths, such as
-    ga.iterations, to JSON values; a section that is not an object is left
-    as it is, for the reader to reject."""
+    """The run config of the JSON file at path, or of an empty tree, with fields
+    (dotted field paths such as ga.iterations, mapped to JSON values) written
+    over it; a section that is not an object is left for the reader to reject."""
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -314,10 +316,6 @@ def load_config(path: str | None = None, fields: dict | None = None) -> RunConfi
     return config_from_dict(data)
 
 
-def canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: RunConfig) -> str:
     """sha256 over the canonical config, minus the output section.
 
@@ -326,4 +324,5 @@ def config_hash(cfg: RunConfig) -> str:
     """
     data = config_to_dict(cfg)
     data.pop("output")
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()

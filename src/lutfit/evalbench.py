@@ -112,13 +112,12 @@ def wide_range_mse(
     table: PwlTable,
     plan: RangeScalingPlan,
     datapath: DatapathConfig = DatapathConfig(),
-    sample_count: int = 1024,
 ) -> float:
     """Pooled MSE of a wide-range operator through its fixed-point table.
 
     The table is rounded to datapath.frac_bits fixed point, saturated at
     datapath.input_bits. Samples the inner range at the fitness-grid step
-    and each finite sub-range at sample_count uniform points; every sample
+    and each finite sub-range at 1024 uniform points; every sample
     is folded in by select_subrange, evaluated on the fixed-point table,
     rescaled and compared with the reference of table.spec.
     """
@@ -129,7 +128,7 @@ def wide_range_mse(
     xs = [fitness_grid(plan.inner_range, FITNESS_STEP)[0]]
     for sr in plan.sub_ranges:
         if math.isfinite(sr.hi):
-            xs.append(sr.lo + (sr.hi - sr.lo) * np.arange(sample_count) / sample_count)
+            xs.append(sr.lo + (sr.hi - sr.lo) * np.arange(1024) / 1024)
     samples = np.concatenate(xs)
     exponents, rescales = select_subrange(samples, plan)
     folded = samples * np.ldexp(1.0, exponents)

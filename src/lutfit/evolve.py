@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ._fields import FieldError
 from ._lazy import lazy_import
 from .fxp import fxp_round
 from .nonlin import NonLinSpec
@@ -60,25 +61,25 @@ class GaConfig:
     gaussian_sigma: float | None = None
 
     def __post_init__(self):
-        if self.n_breakpoints < 1:
-            raise ValueError(f"n_breakpoints must be >= 1, got {self.n_breakpoints}")
-        if self.population_size < 1:
-            raise ValueError(f"population_size must be >= 1, got {self.population_size}")
+        for name in ("n_breakpoints", "population_size"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("cross_prob", "mutate_prob", "rm_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise FieldError(name, f"{name} must be in [0, 1], got {v}")
         ma, mb = self.rm_range
         if not (isinstance(ma, int) and isinstance(mb, int) and 0 <= ma <= mb):
-            raise ValueError(f"rm_range must be integers 0 <= ma <= mb, got {self.rm_range}")
+            raise FieldError("rm_range", f"rm_range must be integers 0 <= ma <= mb, "
+                                         f"got {self.rm_range}")
         if (mb - ma + 1) * self.rm_prob > 1.0 + 1e-12:
-            raise ValueError(
-                f"(mb - ma + 1) * rm_prob must not exceed 1, got {self.rm_range} * {self.rm_prob}"
-            )
+            raise FieldError("rm_prob", f"(mb - ma + 1) * rm_prob must not exceed 1, "
+                                        f"got {self.rm_range} * {self.rm_prob}")
         if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+            raise FieldError("iterations", f"iterations must be >= 0, got {self.iterations}")
         if self.gaussian_sigma is not None and self.gaussian_sigma <= 0:
-            raise ValueError(f"gaussian_sigma must be positive, got {self.gaussian_sigma}")
+            raise FieldError("gaussian_sigma",
+                             f"gaussian_sigma must be positive, got {self.gaussian_sigma}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -174,11 +175,11 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
     return repaired_breakpoints(out, p.search_range)
 
 
-def _tournament_picks(fitnesses, rng: np.random.Generator, rounds: int = 3) -> list[int]:
-    """Winner indices of len(fitnesses) independent tournaments (lower MSE
-    wins, ties to the lowest index)."""
+def _tournament_picks(fitnesses, rng: np.random.Generator) -> list[int]:
+    """Winner indices of len(fitnesses) independent 3-way tournaments (lower
+    MSE wins, ties to the lowest index)."""
     n = len(fitnesses)
-    entrants = rng.integers(0, n, size=(n, rounds)).tolist()
+    entrants = rng.integers(0, n, size=(n, 3)).tolist()
     return [min(row, key=lambda c: (fitnesses[c], c)) for row in entrants]
 
 

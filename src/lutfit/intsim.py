@@ -16,6 +16,7 @@ at most 63 bits wide, so int64 holds every checked value exactly.
 
 from dataclasses import dataclass
 
+from ._fields import FieldError
 from ._lazy import lazy_import
 from .fxp import fits, int_bounds, shift_right_round
 from .quant import QPwlTable, segment_index
@@ -44,20 +45,23 @@ class DatapathConfig:
     acc_bits: int | None = None
 
     def __post_init__(self):
-        if self.input_bits < 1 or self.param_bits < 1:
-            raise ValueError("input_bits and param_bits must be >= 1")
+        for name in ("input_bits", "param_bits"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.frac_bits <= MAX_ACC_BITS:
-            raise ValueError(
-                f"frac_bits {self.frac_bits} outside 0..{MAX_ACC_BITS}, "
+            raise FieldError(
+                "frac_bits", f"frac_bits {self.frac_bits} outside 0..{MAX_ACC_BITS}, "
                 f"the widest mantissa int64 holds"
             )
         if self.acc_bits is not None and self.acc_bits < self.input_bits + self.param_bits:
-            raise ValueError(
+            raise FieldError(
+                "acc_bits",
                 f"acc_bits {self.acc_bits} below input_bits + param_bits "
                 f"({self.input_bits + self.param_bits})"
             )
         if self.effective_acc_bits > MAX_ACC_BITS:
-            raise ValueError(
+            raise FieldError(
+                "acc_bits",
                 f"acc_bits {self.effective_acc_bits} above {MAX_ACC_BITS}, "
                 f"the widest accumulator int64 holds exactly"
             )

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from ._fields import FieldError
 from ._lazy import lazy_import
 
 np = lazy_import("numpy")
@@ -59,16 +60,14 @@ class NonLinSpec:
     def __post_init__(self):
         lo, hi = self.search_range
         if not (lo < hi):
-            raise ValueError(f"search_range must satisfy lo < hi, got ({lo}, {hi})")
+            raise FieldError("search_range", f"search_range must satisfy lo < hi, got ({lo}, {hi})")
         expected = self.kind in SCALE_CARRYING
         if self.scale_carrying != expected:
-            raise ValueError(
-                f"{self.kind.value} must have scale_carrying={expected}"
-            )
+            raise FieldError("scale_carrying",
+                             f"{self.kind.value} must have scale_carrying={expected}")
         if self.kind in (Kind.DIV, Kind.RSQRT) and lo <= 0.0:
-            raise ValueError(
-                f"{self.kind.value} search range must be strictly positive, got lo={lo}"
-            )
+            raise FieldError("search_range", f"{self.kind.value} search range must be strictly "
+                                             f"positive, got lo={lo}")
 
 
 def default_spec(kind: Kind | str) -> NonLinSpec:

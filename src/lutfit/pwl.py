@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from ._fields import FieldError
 from ._lazy import lazy_import
 from .fxp import fxp_round
 from .nonlin import NonLinSpec, eval_ref
@@ -32,7 +33,8 @@ class GapError(ValueError):
 
 @dataclass(frozen=True)
 class BreakpointSet:
-    """Strictly ascending breakpoints inside a search range."""
+    """Strictly ascending breakpoints inside a search range (the breakpoints
+    field of a table's JSON form)."""
 
     points: tuple[float, ...]
     search_range: tuple[float, float]
@@ -41,20 +43,20 @@ class BreakpointSet:
         lo, hi = self.search_range
         pts = self.points
         if not pts:
-            raise ValueError("at least one breakpoint required")
+            raise FieldError("breakpoints", "at least one breakpoint required")
         if any(map(operator.ge, pts, pts[1:])):
-            raise ValueError(f"breakpoints must be strictly ascending: {pts}")
+            raise FieldError("breakpoints", f"breakpoints must be strictly ascending: {pts}")
         if pts[0] < lo or pts[-1] > hi:
-            raise ValueError(f"breakpoints {pts} outside range ({lo}, {hi})")
+            raise FieldError("breakpoints", f"breakpoints {pts} outside range ({lo}, {hi})")
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def repair_points(values, search_range: tuple[float, float], min_gap: float = MIN_GAP) -> tuple[float, ...]:
-    """Sort values and enforce the minimum spacing inside the range.
+def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...]:
+    """Sort values and enforce the minimum spacing MIN_GAP inside the range.
 
-    Points are clipped min_gap inside the range ends (the ends act as
+    Points are clipped MIN_GAP inside the range ends (the ends act as
     virtual interpolation nodes), then pushed apart left-to-right with a
     right-to-left fixup if the last point overflows. Plain float arithmetic:
     the inputs are a handful of points, where numpy's per-call overhead
@@ -62,28 +64,27 @@ def repair_points(values, search_range: tuple[float, float], min_gap: float = MI
     """
     lo, hi = search_range
     n = len(values)
-    if hi - lo < (n + 1) * min_gap:
-        raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {min_gap}")
-    floor, ceil = lo + min_gap, hi - min_gap
+    if hi - lo < (n + 1) * MIN_GAP:
+        raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {MIN_GAP}")
+    floor, ceil = lo + MIN_GAP, hi - MIN_GAP
     # np.clip's order, as comparisons: builtin min/max calls cost twice as much
     pts = [floor if v < floor else v for v in sorted(map(float, values))]
     pts = [ceil if v > ceil else v for v in pts]
     for k in range(1, n):
-        if pts[k] < pts[k - 1] + min_gap:
-            pts[k] = pts[k - 1] + min_gap
+        if pts[k] < pts[k - 1] + MIN_GAP:
+            pts[k] = pts[k - 1] + MIN_GAP
     if pts[-1] > ceil:
         pts[-1] = ceil
         for k in range(n - 2, -1, -1):
-            if pts[k] > pts[k + 1] - min_gap:
-                pts[k] = pts[k + 1] - min_gap
+            if pts[k] > pts[k + 1] - MIN_GAP:
+                pts[k] = pts[k + 1] - MIN_GAP
             else:
                 break
     return tuple(pts)
 
 
-def repaired_breakpoints(values, search_range, min_gap: float = MIN_GAP) -> BreakpointSet:
-    return BreakpointSet(points=repair_points(values, search_range, min_gap),
-                         search_range=search_range)
+def repaired_breakpoints(values, search_range) -> BreakpointSet:
+    return BreakpointSet(points=repair_points(values, search_range), search_range=search_range)
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ class PwlTable:
     def __post_init__(self):
         n = len(self.slopes)
         if len(self.intercepts) != n or len(self.breakpoints) != n - 1:
-            raise ValueError(
+            raise FieldError(
+                "intercepts" if len(self.intercepts) != n else "breakpoints",
                 f"inconsistent table: {n} slopes, {len(self.intercepts)} intercepts, "
                 f"{len(self.breakpoints)} breakpoints"
             )
@@ -130,7 +132,7 @@ def eval_segments(points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
     return slopes[idx] * x + intercepts[idx]
 
 
-def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None, min_gap: float = MIN_GAP) -> PwlTable:
+def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None) -> PwlTable:
     """Table whose segments interpolate the reference exactly at the breakpoints.
 
     The boundary segments interpolate through the range endpoints, which act
@@ -147,8 +149,8 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None, min_gap: float 
     nodes[1:-1] = bps.points
     nodes[-1] = hi
     gaps = np.diff(nodes)
-    if gaps.min() < min_gap - 1e-12:
-        raise GapError(f"segment narrower than {min_gap}: gaps {gaps.tolist()}")
+    if gaps.min() < MIN_GAP - 1e-12:
+        raise GapError(f"segment narrower than {MIN_GAP}: gaps {gaps.tolist()}")
     slopes, intercepts = segment_params(nodes, reference_values(spec, nodes, ref))
     return PwlTable(
         slopes=tuple(slopes.tolist()),

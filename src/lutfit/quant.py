@@ -16,6 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from ._fields import FieldError
 from ._lazy import lazy_import
 from .fxp import int_bounds, round_half_up, saturate, to_mantissa
 from .nonlin import DomainError, Kind, NonLinSpec
@@ -67,8 +68,8 @@ class QPwlTable:
 
     slopes_fxp / intercepts_fxp are integer mantissas at frac_bits
     fractional bits. breakpoints_q are plain integers compared against q for
-    scale-carrying operators, or frac_bits mantissas for wide-range ones
-    (scale is None in that case). source_segments maps each stored entry
+    scale-carrying operators, or frac_bits mantissas for wide-range ones;
+    scale is None exactly when the operator is wide-range. source_segments maps each stored entry
     back to its segment index in the originating real-valued table; entries
     whose quantized breakpoints collided are dropped (keep-first).
     """
@@ -85,14 +86,21 @@ class QPwlTable:
     def __post_init__(self):
         n = len(self.slopes_fxp)
         if len(self.intercepts_fxp) != n or len(self.breakpoints_q) != n - 1:
-            raise ValueError(
+            raise FieldError(
+                "intercepts_fxp" if len(self.intercepts_fxp) != n else "breakpoints_q",
                 f"inconsistent table: {n} slopes, {len(self.intercepts_fxp)} intercepts, "
-                f"{len(self.breakpoints_q)} breakpoints"
+                f"{len(self.breakpoints_q)} breakpoints",
             )
         if any(b <= a for a, b in zip(self.breakpoints_q, self.breakpoints_q[1:])):
-            raise ValueError(f"quantized breakpoints not strictly ascending: {self.breakpoints_q}")
+            raise FieldError(
+                "breakpoints_q",
+                f"quantized breakpoints not strictly ascending: {self.breakpoints_q}",
+            )
         if self.source_segments and len(self.source_segments) != n:
-            raise ValueError("source_segments must map every stored entry")
+            raise FieldError("source_segments", "source_segments must map every stored entry")
+        if (self.scale is None) == self.spec.scale_carrying:
+            need = "needs a scale" if self.spec.scale_carrying else "takes no scale"
+            raise FieldError("scale_exponent", f"a {self.spec.kind.value} table {need}")
 
     @property
     def entries(self) -> int:

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,17 @@ MALFORMED_CONFIG = {
                         "unknown field datapth"),
     "unknown-ga-key": ({"function": "gelu", "ga": {"popsize": 10}}, "unknown field ga.popsize"),
     "unknown-plan-key": (_inline_plan(scale=-3), "unknown field plan.sub_ranges[0].scale"),
+    # a range check of a section names the field it failed on
+    "cross_prob-2": ({"function": "gelu", "ga": {"cross_prob": 2.0}},
+                     "invalid field ga.cross_prob:"),
+    "acc_bits-64": ({"function": "gelu", "datapath": {"acc_bits": 64}},
+                    "invalid field datapath.acc_bits:"),
+    "plan-exponent-5000": (_inline_plan(exponent=5000),
+                           "invalid field plan.sub_ranges[0].exponent:"),
+    # one fit per seed, and at least one scale to sweep
+    "seeds-repeated": ({"function": "gelu", "seeds": [0, 1, 0]}, "invalid field seeds:"),
+    "scale_exponents-empty": ({"function": "gelu", "scale_exponents": []},
+                              "invalid field scale_exponents:"),
 }
 
 
@@ -142,8 +154,6 @@ def test_config_errors_name_offending_field():
         config_from_dict({"function": "gelu", "entries": 12})
     with pytest.raises(ConfigError, match="mutation_kind"):
         config_from_dict({"function": "gelu", "ga": {"mutation_kind": "bogus"}})
-    with pytest.raises(ConfigError, match="ga"):
-        config_from_dict({"function": "gelu", "ga": {"cross_prob": 2.0}})
     with pytest.raises(ConfigError, match="seeds"):
         config_from_dict({"function": "gelu", "seeds": []})
     with pytest.raises(ConfigError, match="schema_version"):
@@ -153,7 +163,8 @@ def test_config_errors_name_offending_field():
     with pytest.raises(ConfigError, match="field plan: preset 'rsqrt-int8' is for rsqrt"):
         config_from_dict({"function": "div", "plan": "rsqrt-int8"})
     # the open-ended sub-range's exponent is range-checked too
-    with pytest.raises(ConfigError, match="field plan: scale exponent 5000 outside"):
+    with pytest.raises(ConfigError,
+                       match=r"field plan\.sub_ranges\[0\]\.exponent: scale exponent 5000 outside"):
         config_from_dict({"function": "div", "plan": {
             "inner_range": [0.5, 4.0], "sub_ranges": [{"lo": 4.0, "hi": None, "exponent": 5000}]}})
     for key, value in (("seeds", "ab"), ("seeds", [0, 1.5]), ("seeds", [True]),
@@ -162,8 +173,6 @@ def test_config_errors_name_offending_field():
             config_from_dict({"function": "gelu", key: value})
     with pytest.raises(ConfigError, match="field ga.n_breakpoints"):
         config_from_dict({"function": "gelu", "entries": 8, "ga": {"n_breakpoints": 15}})
-    with pytest.raises(ConfigError, match="acc_bits"):
-        config_from_dict({"function": "gelu", "datapath": {"acc_bits": 64}})
     # malformed sections and fields exit 2 naming the field, never a traceback
     for extra, field in (
         ({"ga": [1]}, "ga"),
@@ -173,6 +182,7 @@ def test_config_errors_name_offending_field():
         ({"search_range": [-math.inf, 4]}, "search_range"),
         ({"ga": {"rm_range": 5}}, "ga.rm_range"),
         ({"ga": {"population_size": 2.5}}, "ga.population_size"),
+        ({"ga": {"iterations": -1}}, "ga.iterations"),
         # lambda has one value; the fit seeds are the seeds field
         ({"ga": {"fxp_frac_bits": 6}, "datapath": {"frac_bits": 4}}, "datapath.frac_bits"),
         ({"ga": {"seed": 7}}, "ga.seed"),
@@ -276,7 +286,9 @@ def test_read_artifact_names_ill_typed_qtable_field(tmp_path):
     with open(path) as fh:
         data = json.load(fh)
     # a scale exponent past the normal doubles is as malformed as a wrong type
-    for field, value in (("frac_bits", "5"), ("frac_bits", True), ("scale_exponent", 5000)):
+    # and so is a missing scale on a scale-carrying table
+    for field, value in (("frac_bits", "5"), ("frac_bits", True), ("scale_exponent", 5000),
+                         ("scale_exponent", None)):
         with open(path, "w") as fh:
             json.dump({**data, field: value}, fh)
         with pytest.raises(ValueError, match=f"field {field}"):
@@ -616,6 +628,11 @@ MALFORMED_FIT = {
     "slopes:inf": lambda d: d["slopes"].__setitem__(1, math.inf),
     # finite, but its mantissa at lambda fractional bits is not
     "slopes:1e308": lambda d: d["slopes"].__setitem__(1, 1e308),
+    # well-typed values the table rejects
+    "function.search_range:reversed": lambda d: d["function"].update(search_range=[4, -4]),
+    "function.scale_carrying:false": lambda d: d["function"].update(scale_carrying=False),
+    "breakpoints:descending": lambda d: d.update(breakpoints=[0.7, -1.3]),
+    "intercepts:extra": lambda d: d["intercepts"].append(0.0),
     # a number is not a boolean
     "function.scale_carrying": lambda d: d["function"].update(scale_carrying=1),
     "provenance": lambda d: d.update(provenance=[1]),
@@ -731,6 +748,60 @@ def test_main_conflicting_function_flag(tmp_path, capsys):
     ])
     assert rc == 2
     assert "conflicts" in capsys.readouterr().err
+
+
+# Each flag and the config field it sets: (command, flag arguments, the same
+# value as a config tree). The base config sets every field to another value,
+# so equal outputs also show that the flag overrides the file.
+FLAG_AS_FIELD = {
+    "iterations": ("fit", ["--iterations", "7"], {"ga": {"iterations": 7}}),
+    "mutation": ("fit", ["--mutation", "gaussian"], {"ga": {"mutation_kind": "gaussian"}}),
+    "seeds": ("fit", ["--seeds", "3,1"], {"seeds": [3, 1]}),
+    "out": ("fit", ["--out", "elsewhere"], {"output": {"dir": "elsewhere"}}),
+    "scales": ("eval", ["--scales=-7,-3"], {"scale_exponents": [-7, -3]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_AS_FIELD))
+def test_main_flag_equals_its_config_field(tmp_path, capsys, monkeypatch, case):
+    command, flags, fields = FLAG_AS_FIELD[case]
+    monkeypatch.chdir(tmp_path)
+    _write_fit("t.fit.json", "gelu")
+    base = {"function": "gelu", "ga": {"population_size": 10, "iterations": 3}}
+    merged = json.loads(json.dumps(base))
+    for key, value in fields.items():
+        merged[key] = {**merged[key], **value} if key in merged else value
+    argv = ["fit"] if command == "fit" else ["eval", "--table", "t.fit.json"]
+    outputs = []
+    for config, extra in ((base, flags), (merged, [])):
+        with open("c.json", "w") as fh:
+            json.dump(config, fh)
+        assert main([*argv, "--config", "c.json", *extra]) == 0
+        paths = capsys.readouterr().out.split()
+        outputs.append({p: open(p, "rb").read() for p in paths})
+        shutil.rmtree(os.path.dirname(paths[0]))
+    assert outputs[0] == outputs[1]
+
+
+def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
+    table_path = str(tmp_path / "t.fit.json")
+    _write_fit(table_path, "gelu")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "gelu", "ga": 5}))
+    out = str(tmp_path / "out")
+    fit = ["fit", "--function", "gelu"]
+    for argv, field in (
+        ([*fit, "--seeds", ","], "seeds"),
+        ([*fit, "--seeds", "0,0"], "seeds"),
+        ([*fit, "--iterations", "-1"], "ga.iterations"),
+        (["eval", "--table", table_path, "--scales", ","], "scale_exponents"),
+        # a flag is written into its section only when that is an object
+        (["fit", "--config", str(cfg_path), "--iterations", "3"], "ga"),
+    ):
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid field {field}:"), err
+    assert not os.path.exists(out)
 
 
 def _write_fit(path: str, function: str):

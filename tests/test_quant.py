@@ -378,3 +378,9 @@ def test_qpwl_table_validation():
             frac_bits=5,
             spec=GELU,
         )
+    # a scale exactly when the operator is scale-carrying
+    with pytest.raises(ValueError, match="needs a scale"):
+        QPwlTable(slopes_fxp=(1,), intercepts_fxp=(0,), breakpoints_q=(), frac_bits=5, spec=GELU)
+    with pytest.raises(ValueError, match="takes no scale"):
+        QPwlTable(slopes_fxp=(1,), intercepts_fxp=(0,), breakpoints_q=(), frac_bits=5,
+                  spec=default_spec(Kind.DIV), scale=PowTwoScale(-3))
