@@ -212,18 +212,19 @@ def _build_config(args, artifact_function: str | None = None) -> RunConfig:
     fields = {}
     for flag, name in FLAG_FIELDS.items():
         value = getattr(args, flag, None)
-        if flag in ("seeds", "scales") and value is not None:
+        if value is None:
+            continue
+        if flag in ("seeds", "scales"):
             try:
                 value = [int(s) for s in value.split(",") if s.strip()]
             except ValueError:
                 raise ConfigError(f"invalid field {name}: {value!r}") from None
-        if value is not None:
-            fields[name] = value
+        fields[name] = value
     # with a file, --function and --entries may only restate its values
     restated = {n: fields.pop(n) for n in ("function", "entries") if args.config and n in fields}
     if not args.config and artifact_function:
         fields.setdefault("function", artifact_function)
-    cfg = load_config(args.config, fields)
+    cfg = load_config(args.config or None, fields)
     for name, value in restated.items():
         stored = config_to_dict(cfg)[name]
         if value != stored:
