@@ -7,6 +7,7 @@ integer LUT arithmetic bit-accurately, and exports hardware-ready tables.
 
 __version__ = "0.1.0"
 
+from .fxp import DatapathConfig
 from .nonlin import Kind, NonLinSpec, default_spec, eval_ref
 from .pwl import BreakpointSet, PwlTable, derive_table, eval_pwl, fitness_mse, fxp_round_table
 from .evolve import GaConfig, MutationKind, evolve
@@ -21,7 +22,7 @@ from .quant import (
     quantize_table,
     select_subrange,
 )
-from .intsim import DatapathConfig, int_pwl, segment_index
+from .intsim import int_pwl, segment_index
 from .evalbench import (
     ScaleSweepReport,
     quant_aware_mse,

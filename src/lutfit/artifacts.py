@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from ._fields import NULL, NUMBER, ConfigError, json_field, naming
-from .fxp import fits
+from .fxp import DatapathConfig
 from .nonlin import Kind, NonLinSpec
 from .pwl import BreakpointSet, PwlTable
-from .quant import PowTwoScale, QPwlTable
+from .quant import PowTwoScale, QPwlTable, check_format
 
 SCHEMA_VERSION = 1
 
@@ -181,23 +181,18 @@ def _c_int_type(bits: int) -> str:
     raise ValueError(f"no integer type for {bits} bits")
 
 
-def _check_width(label: str, values, bits: int):
-    for v in values:
-        if not fits(v, bits):
-            raise ValueError(f"{label} value {v} does not fit {bits} bits")
-
-
 def render_c_header(
     qtable: QPwlTable,
     provenance: Provenance,
     name: str,
-    param_bits: int = 16,
-    breakpoint_bits: int = 8,
+    datapath: DatapathConfig = DatapathConfig(),
 ) -> str:
     """C header with the integer arrays plus frac-bits/scale-exponent macros.
 
-    Slopes and intercepts are param_bits wide, breakpoints breakpoint_bits.
+    The table must be in datapath's format (check_format). Slopes and
+    intercepts are datapath.param_bits wide, breakpoints datapath.input_bits.
     """
+    check_format(qtable, datapath)
     prefix = name.upper()
     lines = [
         f"/* {name}: {qtable.entries}-entry pwl table",
@@ -212,11 +207,10 @@ def render_c_header(
     if qtable.scale is not None:
         lines.append(f"#define {prefix}_SCALE_EXP {qtable.scale.exponent}")
     for label, values, bits in (
-        ("SLOPES", qtable.slopes_fxp, param_bits),
-        ("INTERCEPTS", qtable.intercepts_fxp, param_bits),
-        ("BREAKPOINTS", qtable.breakpoints_q, breakpoint_bits),
+        ("SLOPES", qtable.slopes_fxp, datapath.param_bits),
+        ("INTERCEPTS", qtable.intercepts_fxp, datapath.param_bits),
+        ("BREAKPOINTS", qtable.breakpoints_q, datapath.input_bits),
     ):
-        _check_width(label.lower(), values, bits)
         body = ", ".join(str(v) for v in values)
         lines.append(
             f"static const {_c_int_type(bits)} {prefix}_{label}[{len(values)}] = {{{body}}};"
@@ -225,18 +219,18 @@ def render_c_header(
 
 
 def render_memh(
-    qtable: QPwlTable,
-    provenance: Provenance,
-    param_bits: int = 16,
-    breakpoint_bits: int = 8,
+    qtable: QPwlTable, provenance: Provenance, datapath: DatapathConfig = DatapathConfig()
 ) -> str:
     """Hex memory-init text: one packed line per LUT entry.
 
-    Fields are {slope, intercept, breakpoint}, two's complement, slope and
-    intercept param_bits wide and the breakpoint breakpoint_bits wide, most
-    significant field first, entry 0 first. The last entry has no
+    The table must be in datapath's format (check_format). Fields are
+    {slope, intercept, breakpoint}, two's complement, slope and intercept
+    datapath.param_bits wide and the breakpoint datapath.input_bits wide,
+    most significant field first, entry 0 first. The last entry has no
     breakpoint of its own; its breakpoint field is zero.
     """
+    check_format(qtable, datapath)
+    param_bits, breakpoint_bits = datapath.param_bits, datapath.input_bits
     digits = math.ceil((2 * param_bits + breakpoint_bits) / 4)
     lines = [
         f"// lutfit {provenance.tool_version} memh export, "
@@ -250,12 +244,11 @@ def render_memh(
     for i in range(qtable.entries):
         breakpoint = qtable.breakpoints_q[i] if i < qtable.entries - 1 else 0
         word = 0
-        for label, value, bits in (
-            ("slope", qtable.slopes_fxp[i], param_bits),
-            ("intercept", qtable.intercepts_fxp[i], param_bits),
-            ("breakpoint", breakpoint, breakpoint_bits),
+        for value, bits in (
+            (qtable.slopes_fxp[i], param_bits),
+            (qtable.intercepts_fxp[i], param_bits),
+            (breakpoint, breakpoint_bits),
         ):
-            _check_width(label, (value,), bits)
             word = (word << bits) | (value & ((1 << bits) - 1))
         lines.append(format(word, f"0{digits}X"))
     return "\n".join(lines) + "\n"

@@ -24,12 +24,7 @@ from .evolve import evolve
 from .intsim import AccumulatorOverflow
 from .nonlin import Kind
 from .pwl import PwlTable, fitness_mse, fitness_scorer, fxp_round_table
-from .quant import (
-    PowTwoScale,
-    QPwlTable,
-    fxp_quantize_table,
-    quantize_table,
-)
+from .quant import PowTwoScale, QPwlTable, check_format, fxp_quantize_table, quantize_table
 
 
 def _fit_one(spec, frac_bits, ga_cfg, seed):
@@ -149,10 +144,10 @@ def cmd_export(
 
     The format is the config's datapath: datapath.frac_bits fractional bits,
     a signed datapath.input_bits input, slope and intercept fields at
-    datapath.param_bits and breakpoint fields at datapath.input_bits. A
-    quantized-table artifact is exported as stored, so its frac_bits must be
-    the config's. artifact is read_artifact(table_path) when the caller has
-    read it.
+    datapath.param_bits and breakpoint fields at datapath.input_bits. Every
+    format checks the table against it (check_format); a quantized-table
+    artifact is exported as stored. artifact is read_artifact(table_path)
+    when the caller has read it.
     """
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(
@@ -161,11 +156,6 @@ def cmd_export(
     table, provenance = _read_table(cfg, table_path, artifact)
     dp = cfg.datapath
     if isinstance(table, QPwlTable):
-        if table.frac_bits != dp.frac_bits:
-            raise ConfigError(
-                f"artifact frac_bits {table.frac_bits} does not match config "
-                f"datapath.frac_bits {dp.frac_bits}"
-            )
         qtable = table
     elif table.spec.scale_carrying:
         if scale_exp is None:
@@ -176,9 +166,10 @@ def cmd_export(
             scale = PowTwoScale(scale_exp)
         except ValueError as exc:
             raise ConfigError(f"invalid --scale-exp: {exc}") from None
-        qtable = quantize_table(table, scale, dp.input_bits, dp.frac_bits)
+        qtable = quantize_table(table, scale, dp)
     else:
-        qtable = fxp_quantize_table(table, dp.frac_bits, dp.input_bits)
+        qtable = fxp_quantize_table(table, dp)
+    check_format(qtable, dp)
 
     stem, _ = os.path.splitext(os.path.basename(table_path))
     stem = stem.removesuffix(".fit").removesuffix(".qtable")
@@ -188,12 +179,10 @@ def cmd_export(
         write_qtable_artifact(path, qtable, provenance)
     elif fmt == "header":
         path = os.path.join(cfg.out_dir, f"{stem}.h")
-        atomic_write(
-            path, render_c_header(qtable, provenance, name, dp.param_bits, dp.input_bits)
-        )
+        atomic_write(path, render_c_header(qtable, provenance, name, dp))
     else:
         path = os.path.join(cfg.out_dir, f"{stem}.memh")
-        atomic_write(path, render_memh(qtable, provenance, dp.param_bits, dp.input_bits))
+        atomic_write(path, render_memh(qtable, provenance, dp))
     return path
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from ._fields import NULL, NUMBER, ConfigError, json_field, naming
 from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
-from .intsim import MAX_ACC_BITS, DatapathConfig
+from .fxp import MAX_ACC_BITS, DatapathConfig
 from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec
 from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import lazy_import
-from .fxp import int_bounds
-from .intsim import DatapathConfig, int_pwl
+from .fxp import DatapathConfig, int_bounds
+from .intsim import int_pwl
 from .nonlin import NonLinSpec, eval_ref
 from .pwl import FITNESS_STEP, PwlTable, fitness_grid, reference_values
 from .quant import (
@@ -81,7 +81,7 @@ def quant_aware_mse(
     spec = table.spec
     if not spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is wide-range; use wide_range_mse")
-    qtable = quantize_table(table, scale, datapath.input_bits, datapath.frac_bits)
+    qtable = quantize_table(table, scale, datapath)
     q_min, q_max = eval_range_q(spec, scale, datapath.input_bits)
     q = np.arange(q_min, q_max + 1)
     err = scale.value * int_pwl(q, qtable, datapath) - reference_values(
@@ -124,7 +124,7 @@ def wide_range_mse(
     spec = table.spec
     if spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is scale-carrying; use sweep_scales")
-    qtable = fxp_quantize_table(table, datapath.frac_bits, datapath.input_bits)
+    qtable = fxp_quantize_table(table, datapath)
     xs = [fitness_grid(plan.inner_range, FITNESS_STEP)[0]]
     for sr in plan.sub_ranges:
         if math.isfinite(sr.hi):

@@ -8,6 +8,12 @@ zones after quantization, which ties away from zero would not.
 """
 
 import math
+from dataclasses import dataclass
+
+from ._fields import FieldError
+
+# Widest accumulator int64 arithmetic simulates exactly.
+MAX_ACC_BITS = 63
 
 
 def round_half_up(x: float) -> int:
@@ -61,3 +67,47 @@ def shift_right_round(value: int, shift: int) -> int:
     if shift <= 0:
         return int(value) << (-shift)
     return (int(value) + (1 << (shift - 1))) >> shift
+
+
+@dataclass(frozen=True)
+class DatapathConfig:
+    """The table format and bit widths of the integer datapath.
+
+    frac_bits is lambda, the fractional bits of every stored mantissa.
+    Slopes and intercepts are param_bits wide, inputs and breakpoints
+    input_bits. acc_bits defaults to input_bits + param_bits + 8, leaving
+    headroom for the runtime intercept shift (scale exponents down to -8).
+    """
+
+    input_bits: int = 8
+    param_bits: int = 16
+    frac_bits: int = 5
+    acc_bits: int | None = None
+
+    def __post_init__(self):
+        for name in ("input_bits", "param_bits"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.frac_bits <= MAX_ACC_BITS:
+            raise FieldError(
+                "frac_bits", f"frac_bits {self.frac_bits} outside 0..{MAX_ACC_BITS}, "
+                f"the widest mantissa int64 holds"
+            )
+        if self.acc_bits is not None and self.acc_bits < self.input_bits + self.param_bits:
+            raise FieldError(
+                "acc_bits",
+                f"acc_bits {self.acc_bits} below input_bits + param_bits "
+                f"({self.input_bits + self.param_bits})"
+            )
+        if self.effective_acc_bits > MAX_ACC_BITS:
+            raise FieldError(
+                "acc_bits",
+                f"acc_bits {self.effective_acc_bits} above {MAX_ACC_BITS}, "
+                f"the widest accumulator int64 holds exactly"
+            )
+
+    @property
+    def effective_acc_bits(self) -> int:
+        if self.acc_bits is not None:
+            return self.acc_bits
+        return self.input_bits + self.param_bits + 8

@@ -14,76 +14,15 @@ overflow is a configuration error, never a silent wrap. The accumulator is
 at most 63 bits wide, so int64 holds every checked value exactly.
 """
 
-from dataclasses import dataclass
-
-from ._fields import FieldError
 from ._lazy import lazy_import
-from .fxp import fits, int_bounds, shift_right_round
-from .quant import QPwlTable, segment_index
+from .fxp import DatapathConfig, int_bounds, shift_right_round
+from .quant import QPwlTable, check_format, segment_index
 
 np = lazy_import("numpy")
-
-# Widest accumulator int64 arithmetic simulates exactly.
-MAX_ACC_BITS = 63
 
 
 class AccumulatorOverflow(OverflowError):
     """An intermediate exceeded the configured accumulator width."""
-
-
-@dataclass(frozen=True)
-class DatapathConfig:
-    """Bit widths of the simulated datapath.
-
-    acc_bits defaults to input_bits + param_bits + 8, leaving headroom for
-    the runtime intercept shift (scale exponents down to -8).
-    """
-
-    input_bits: int = 8
-    param_bits: int = 16
-    frac_bits: int = 5
-    acc_bits: int | None = None
-
-    def __post_init__(self):
-        for name in ("input_bits", "param_bits"):
-            if getattr(self, name) < 1:
-                raise FieldError(name, f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.frac_bits <= MAX_ACC_BITS:
-            raise FieldError(
-                "frac_bits", f"frac_bits {self.frac_bits} outside 0..{MAX_ACC_BITS}, "
-                f"the widest mantissa int64 holds"
-            )
-        if self.acc_bits is not None and self.acc_bits < self.input_bits + self.param_bits:
-            raise FieldError(
-                "acc_bits",
-                f"acc_bits {self.acc_bits} below input_bits + param_bits "
-                f"({self.input_bits + self.param_bits})"
-            )
-        if self.effective_acc_bits > MAX_ACC_BITS:
-            raise FieldError(
-                "acc_bits",
-                f"acc_bits {self.effective_acc_bits} above {MAX_ACC_BITS}, "
-                f"the widest accumulator int64 holds exactly"
-            )
-
-    @property
-    def effective_acc_bits(self) -> int:
-        if self.acc_bits is not None:
-            return self.acc_bits
-        return self.input_bits + self.param_bits + 8
-
-
-def _check_widths(table: QPwlTable, cfg: DatapathConfig):
-    if table.frac_bits != cfg.frac_bits:
-        raise ValueError(
-            f"table has {table.frac_bits} fractional bits, datapath expects {cfg.frac_bits}"
-        )
-    for label, values in (("slope", table.slopes_fxp), ("intercept", table.intercepts_fxp)):
-        for v in values:
-            if not fits(v, cfg.param_bits):
-                raise ValueError(
-                    f"{label} mantissa {v} exceeds param_bits={cfg.param_bits}"
-                )
 
 
 def int_pwl(q, table: QPwlTable, cfg: DatapathConfig):
@@ -96,7 +35,7 @@ def int_pwl(q, table: QPwlTable, cfg: DatapathConfig):
     """
     if table.scale is None:
         raise ValueError("integer datapath requires a scale-carrying table")
-    _check_widths(table, cfg)
+    check_format(table, cfg)
     qa = np.asarray(q)
     if qa.dtype.kind not in "iu":
         raise ValueError(f"q must be an integer or integer array, got dtype {qa.dtype}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._fields import FieldError
 from ._lazy import lazy_import
-from .fxp import int_bounds, round_half_up, saturate, to_mantissa
+from .fxp import DatapathConfig, fits, int_bounds, round_half_up, saturate, to_mantissa
 from .nonlin import DomainError, Kind, NonLinSpec
 from .pwl import PwlTable, eval_segments
 
@@ -171,18 +171,20 @@ def _mantissas(values, frac_bits: int, field: str) -> list[int]:
 
 
 def quantize_table(
-    table: PwlTable, scale: PowTwoScale, bits: int = 8, frac_bits: int = 5
+    table: PwlTable, scale: PowTwoScale, datapath: DatapathConfig = DatapathConfig()
 ) -> QPwlTable:
     """Quantize a scale-carrying table's breakpoints against S.
 
-    Breakpoints become quantize(p, S, bits) integers; slopes and intercepts
-    are stored as frac_bits mantissas unchanged (the runtime shifter applies
-    the intercept's division by S). Colliding breakpoints are collapsed with
-    a warning, shrinking the effective entry count.
+    Breakpoints become quantize(p, S, datapath.input_bits) integers; slopes
+    and intercepts are stored as datapath.frac_bits mantissas unchanged (the
+    runtime shifter applies the intercept's division by S). Colliding
+    breakpoints are collapsed with a warning, shrinking the effective entry
+    count.
     """
     if not table.spec.scale_carrying:
         raise ValueError(f"{table.spec.kind.value} is wide-range; use fxp_quantize_table")
-    bps_q = [quantize(p, scale, bits) for p in table.breakpoints.points]
+    frac_bits = datapath.frac_bits
+    bps_q = [quantize(p, scale, datapath.input_bits) for p in table.breakpoints.points]
     slopes = _mantissas(table.slopes, frac_bits, "slopes")
     intercepts = _mantissas(table.intercepts, frac_bits, "intercepts")
     bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
@@ -199,14 +201,16 @@ def quantize_table(
     )
 
 
-def fxp_quantize_table(table: PwlTable, frac_bits: int = 5, bits: int = 8) -> QPwlTable:
-    """Round a wide-range table's fields to frac_bits fixed point at bits width.
+def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfig()) -> QPwlTable:
+    """Round a wide-range table's fields to datapath.frac_bits fixed point,
+    datapath.input_bits wide.
 
     Values outside the representable range saturate; every saturation is
     recorded in the result.
     """
     if table.spec.scale_carrying:
         raise ValueError(f"{table.spec.kind.value} is scale-carrying; use quantize_table")
+    frac_bits, bits = datapath.frac_bits, datapath.input_bits
     saturated = []
 
     def convert(values, label):
@@ -237,6 +241,26 @@ def fxp_quantize_table(table: PwlTable, frac_bits: int = 5, bits: int = 8) -> QP
         source_segments=segments,
         saturated=tuple(saturated),
     )
+
+
+def check_format(qtable: QPwlTable, datapath: DatapathConfig):
+    """Reject a table the datapath cannot hold: its lambda must be
+    datapath.frac_bits, its slopes and intercepts must fit
+    datapath.param_bits and its breakpoints datapath.input_bits."""
+    if qtable.frac_bits != datapath.frac_bits:
+        raise ValueError(
+            f"table frac_bits {qtable.frac_bits} does not match datapath.frac_bits "
+            f"{datapath.frac_bits}"
+        )
+    for label, values, field in (
+        ("slope", qtable.slopes_fxp, "param_bits"),
+        ("intercept", qtable.intercepts_fxp, "param_bits"),
+        ("breakpoint", qtable.breakpoints_q, "input_bits"),
+    ):
+        bits = getattr(datapath, field)
+        for v in values:
+            if not fits(v, bits):
+                raise ValueError(f"{label} {v} does not fit datapath.{field} {bits}")
 
 
 def eval_qpwl_real(qtable: QPwlTable, x):

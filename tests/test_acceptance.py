@@ -18,7 +18,8 @@ from lutfit.cli import cmd_fit
 from lutfit.config import config_from_dict, default_ga_config
 from lutfit.evalbench import quant_aware_mse, sweep_scales, wide_range_mse
 from lutfit.evolve import GaConfig, MutationKind, evolve, make_rng, rounding_mutate
-from lutfit.intsim import DatapathConfig, int_pwl, segment_index
+from lutfit.fxp import DatapathConfig
+from lutfit.intsim import int_pwl, segment_index
 from lutfit.nonlin import Kind, default_spec, eval_ref
 from lutfit.pwl import (
     BreakpointSet,
@@ -123,7 +124,7 @@ def test_criterion_1_table3_reproduction():
 
     # at the natural 8-bit scale all fitted breakpoints survive quantization
     for seed in SEEDS:
-        qt = quantize_table(get_fit(Kind.GELU, 8, seed), PowTwoScale(-5), 8)
+        qt = quantize_table(get_fit(Kind.GELU, 8, seed), PowTwoScale(-5), DP)
         assert qt.dropped_segments == ()
     slowest = max(_fit_seconds.values())
     print(f"ACCEPTANCE 1 (operator MSE, {len(TABLE3_RM)} cells, "
@@ -203,7 +204,7 @@ def test_criterion_5_integer_datapath_equivalence():
             table = get_fit(kind, entries, seed)
             for e in range(-6, 1):
                 scale = PowTwoScale(e)
-                qtable = quantize_table(table, scale, 8, frac_bits=LAMBDA)
+                qtable = quantize_table(table, scale, DP)
                 s = scale.value
                 x = s * q
                 # deviation from a plain integer compare, independent of segment_index
@@ -290,7 +291,7 @@ def test_criterion_6_property_suite():
     # export round-trip identity on the quantized table
     from lutfit.artifacts import Provenance, read_artifact, write_qtable_artifact
 
-    qt = quantize_table(get_fit(Kind.GELU, 8, 0), PowTwoScale(-5), 8, frac_bits=LAMBDA)
+    qt = quantize_table(get_fit(Kind.GELU, 8, 0), PowTwoScale(-5), DP)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.qtable.json")
         write_qtable_artifact(path, qt, Provenance("hash", 0))

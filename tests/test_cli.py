@@ -28,8 +28,7 @@ from lutfit.config import (
 )
 from lutfit.evalbench import sweep_scales
 from lutfit.evolve import MutationKind
-from lutfit.fxp import int_bounds
-from lutfit.intsim import DatapathConfig
+from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
@@ -54,7 +53,7 @@ def _signed_field(word: int, shift: int, bits: int) -> int:
 def sample_qtable():
     bps = BreakpointSet(points=(-2.0, 0.5, 2.0), search_range=GELU.search_range)
     table = fxp_round_table(derive_table(GELU, bps), 5)
-    return quantize_table(table, PowTwoScale(-5), 8)
+    return quantize_table(table, PowTwoScale(-5))
 
 
 # --- configuration ---------------------------------------------------------
@@ -318,7 +317,7 @@ def test_memh_hand_packed_example():
     )
     # entry fields: slope 0.25 -> 0008 (16b), intercept 4.75 -> 0098 (16b),
     # breakpoint padding 0 in the single-entry case
-    text = render_memh(qt, Provenance("h", 0), param_bits=16, breakpoint_bits=8)
+    text = render_memh(qt, Provenance("h", 0), DatapathConfig(param_bits=16, input_bits=8))
     lines = [l for l in text.splitlines() if not l.startswith("//")]
     assert lines == ["0008009800"]
 
@@ -332,7 +331,7 @@ def test_memh_breakpoint_field_and_saturation_pattern():
         spec=GELU,
         scale=PowTwoScale(-3),
     )
-    text = render_memh(qt, Provenance("h", 0), param_bits=16, breakpoint_bits=8)
+    text = render_memh(qt, Provenance("h", 0), DatapathConfig(param_bits=16, input_bits=8))
     lines = [l for l in text.splitlines() if not l.startswith("//")]
     assert lines[0] == "00080098FB"  # breakpoint -5 -> 0xFB two's complement
     assert lines[1] == "8000FFFF00"  # minimum slope pattern encodes without wrap
@@ -342,7 +341,7 @@ def test_memh_breakpoint_field_and_saturation_pattern():
         slopes_fxp=(-128,), intercepts_fxp=(-1,), breakpoints_q=(), frac_bits=5, spec=GELU,
         scale=PowTwoScale(-3),
     )
-    text = render_memh(qt8, Provenance("h", 0), param_bits=8, breakpoint_bits=8)
+    text = render_memh(qt8, Provenance("h", 0), DatapathConfig(param_bits=8, input_bits=8))
     assert [l for l in text.splitlines() if not l.startswith("//")] == ["80FF00"]
 
 
@@ -360,7 +359,8 @@ def test_memh_words_decode_to_table_fields(param_bits, breakpoint_bits, entries,
         slopes_fxp=tuple(slopes), intercepts_fxp=tuple(intercepts),
         breakpoints_q=tuple(breakpoints), frac_bits=5, spec=GELU, scale=PowTwoScale(-5),
     )
-    text = render_memh(qt, Provenance("h", 0), param_bits, breakpoint_bits)
+    text = render_memh(qt, Provenance("h", 0),
+                       DatapathConfig(param_bits=param_bits, input_bits=breakpoint_bits))
     words = [int(l, 16) for l in text.splitlines() if not l.startswith("//")]
     assert len(words) == entries
     assert all(w >> (2 * param_bits + breakpoint_bits) == 0 for w in words)
@@ -380,7 +380,7 @@ def test_memh_rejects_unrepresentable_fields():
         scale=PowTwoScale(0),
     )
     with pytest.raises(ValueError):
-        render_memh(qt, Provenance("h", 0), param_bits=8, breakpoint_bits=8)
+        render_memh(qt, Provenance("h", 0), DatapathConfig(param_bits=8, input_bits=8))
 
 
 def test_c_header_render():
@@ -888,7 +888,7 @@ def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
                 "--out", out6]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "artifact frac_bits 5 does not match config datapath.frac_bits 6" in err, err
+        assert "table frac_bits 5 does not match datapath.frac_bits 6" in err, err
     assert not os.path.exists(out6)
     # the stock config (frac_bits 5) exports the same qtable
     assert main(["export", "--table", qtable_path, "--format", "header", "--out", out6]) == 0

@@ -11,7 +11,8 @@ from lutfit.evalbench import (
     sweep_scales,
     wide_range_mse,
 )
-from lutfit.intsim import DatapathConfig, int_pwl
+from lutfit.fxp import DatapathConfig
+from lutfit.intsim import int_pwl
 from lutfit.nonlin import Kind, default_spec, eval_ref
 from lutfit.pwl import (
     BreakpointSet,
@@ -65,7 +66,7 @@ def test_quant_aware_mse_matches_naive_reimplementation():
     got = quant_aware_mse(table, scale, dp)
 
     # independent accumulation: quantize the table, walk the dequantized grid
-    qt = quantize_table(table, scale, 8, frac_bits=dp.frac_bits)
+    qt = quantize_table(table, scale, dp)
     s = scale.value
     q_lo = max(-128, math.ceil(GELU.search_range[0] / s))
     q_hi = min(127, math.floor(GELU.search_range[1] / s))
@@ -125,7 +126,7 @@ def test_wide_range_pointwise_composition_through_table():
     exact = rescale * eval_pwl(fl, math.ldexp(256.0, e))
     assert exact == pytest.approx(eval_ref(RSQRT, 256.0), abs=1e-15)
 
-    qt = fxp_quantize_table(fxp_round_table(fl, 5), frac_bits=5, bits=8)
+    qt = fxp_quantize_table(fxp_round_table(fl, 5), DatapathConfig())
     through_fxp = rescale * eval_qpwl_real(qt, math.ldexp(256.0, e))
     assert abs(through_fxp - eval_ref(RSQRT, 256.0)) <= rescale * 2 ** -4
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lutfit.fxp import fits, int_bounds, shift_right_round
-from lutfit.intsim import AccumulatorOverflow, DatapathConfig, int_pwl, segment_index
+from lutfit.fxp import DatapathConfig, fits, int_bounds, shift_right_round
+from lutfit.intsim import AccumulatorOverflow, int_pwl, segment_index
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, eval_pwl, fxp_round_table
 from lutfit.quant import PowTwoScale, QPwlTable, breakpoint_deviation, quantize_table
@@ -29,7 +29,7 @@ def hand_table(slopes, intercepts, breakpoints, exponent, frac_bits=5):
 def fitted_qtable(exponent=-5, points=(-2.8, -1.9, -0.9, 0.1, 0.9, 1.8, 2.7)):
     bps = BreakpointSet(points=points, search_range=GELU.search_range)
     table = fxp_round_table(derive_table(GELU, bps), 5)
-    return table, quantize_table(table, PowTwoScale(exponent), 8)
+    return table, quantize_table(table, PowTwoScale(exponent))
 
 
 def test_segment_index_case_structure():

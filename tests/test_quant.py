@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lutfit.fxp import int_bounds
+from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import DomainError, Kind, default_spec, eval_ref
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table, repaired_breakpoints
 from lutfit.quant import (
@@ -87,7 +87,8 @@ def test_quantize_table_breakpoints_are_collapsed_quantize(kind, unit, bits, e):
     lo, hi = spec.search_range
     bps = repaired_breakpoints([lo + u * (hi - lo) for u in unit], spec.search_range)
     scale = PowTwoScale(e)
-    qt = quantize_table(fxp_round_table(derive_table(spec, bps), 5), scale, bits)
+    qt = quantize_table(fxp_round_table(derive_table(spec, bps), 5), scale,
+                        DatapathConfig(input_bits=bits))
     assert qt.breakpoints_q == tuple(sorted({quantize(p, scale, bits) for p in bps.points}))
 
 
@@ -98,7 +99,7 @@ def gelu_table(points=(-2.5, -1.25, 0.5, 1.75)):
 
 def test_quantize_table_breakpoint_arithmetic():
     table = gelu_table(points=(-1.37, 0.5, 2.0))
-    qt = quantize_table(table, PowTwoScale(-2), 8)
+    qt = quantize_table(table, PowTwoScale(-2))
     assert qt.breakpoints_q[0] == -5  # round(-1.37 / 0.25) = round(-5.48)
     assert qt.breakpoints_q[1] == 2
     assert qt.breakpoints_q[2] == 8
@@ -108,13 +109,13 @@ def test_quantize_table_breakpoint_arithmetic():
 
 def test_quantize_table_unit_scale_rounds_directly():
     table = gelu_table(points=(-2.5, -1.25, 0.75, 2.25))
-    qt = quantize_table(table, PowTwoScale(0), 8)
+    qt = quantize_table(table, PowTwoScale(0))
     assert qt.breakpoints_q == (-2, -1, 1, 2)  # ties round toward +inf
 
 
 def test_quantize_table_slopes_are_lambda_mantissas():
     table = gelu_table()
-    qt = quantize_table(table, PowTwoScale(-5), 8, frac_bits=5)
+    qt = quantize_table(table, PowTwoScale(-5), DatapathConfig(frac_bits=5))
     assert qt.slopes_fxp == tuple(int(round(k * 32)) for k in table.slopes)
     assert qt.intercepts_fxp == tuple(int(round(b * 32)) for b in table.intercepts)
     assert qt.frac_bits == 5
@@ -123,7 +124,7 @@ def test_quantize_table_slopes_are_lambda_mantissas():
 def test_quantize_table_collapses_duplicates(caplog):
     table = gelu_table(points=(0.26, 0.3, 1.5))
     with caplog.at_level(logging.WARNING, logger="lutfit.quant"):
-        qt = quantize_table(table, PowTwoScale(0), 8)
+        qt = quantize_table(table, PowTwoScale(0))
     # 0.26 and 0.3 both round to 0; the segment between them is unreachable
     assert qt.breakpoints_q == (0, 2)
     assert qt.dropped_segments == (1,)
@@ -136,7 +137,7 @@ def test_quantize_table_collapse_maps_region_past_duplicates():
     # both breakpoints clip to q_lo; everything at or above q_lo belongs to
     # the segment right of the whole run
     table = gelu_table(points=(-3.5, -3.0, 1.0))
-    qt = quantize_table(table, PowTwoScale(-6), 8)
+    qt = quantize_table(table, PowTwoScale(-6))
     assert qt.breakpoints_q == (-128, 64)
     assert qt.source_segments == (0, 2, 3)
     # q = -100 >= -128 must use original segment 2's parameters
@@ -150,14 +151,14 @@ def test_quantize_table_rejects_wide_range():
     bps = BreakpointSet(points=(1.0, 2.0), search_range=DIV.search_range)
     table = fxp_round_table(derive_table(DIV, bps), 5)
     with pytest.raises(ValueError):
-        quantize_table(table, PowTwoScale(0), 8)
+        quantize_table(table, PowTwoScale(0))
 
 
 def test_fitted_gelu_breakpoints_stay_distinct_at_natural_scale():
     rng = np.random.default_rng(0)
     for _ in range(5):
         bps = repaired_breakpoints(rng.uniform(-4, 4, size=7), GELU.search_range)
-        qt = quantize_table(fxp_round_table(derive_table(GELU, bps), 5), PowTwoScale(-5), 8)
+        qt = quantize_table(fxp_round_table(derive_table(GELU, bps), 5), PowTwoScale(-5))
         assert len(set(qt.breakpoints_q)) == len(qt.breakpoints_q)
 
 
@@ -176,7 +177,7 @@ def test_fxp_quantize_table_rounds_breakpoints():
         breakpoints=BreakpointSet(points=(0.515625, 1.0, 2.0), search_range=DIV.search_range),
         spec=DIV,
     )
-    qt = fxp_quantize_table(table, frac_bits=5, bits=8)
+    qt = fxp_quantize_table(table)
     assert qt.breakpoints_real[0] == 0.53125  # nearest multiple of 1/32
     assert qt.breakpoints_real[1] == 1.0  # on-grid values unchanged
     assert qt.scale is None
@@ -187,7 +188,7 @@ def test_fxp_quantize_table_div_plan_fits_without_saturation():
     for _ in range(5):
         bps = repaired_breakpoints(rng.uniform(0.5, 4.0, size=7), DIV.search_range)
         table = fxp_round_table(derive_table(DIV, bps), 5)
-        qt = fxp_quantize_table(table, frac_bits=5, bits=8)
+        qt = fxp_quantize_table(table)
         assert qt.saturated == ()
         for v in qt.slopes_fxp + qt.intercepts_fxp + qt.breakpoints_q:
             assert -128 <= v <= 127
@@ -201,18 +202,18 @@ def test_fxp_quantize_table_records_saturation():
         breakpoints=table.breakpoints,
         spec=table.spec,
     )
-    qt = fxp_quantize_table(inflated, frac_bits=5, bits=8)
+    qt = fxp_quantize_table(inflated)
     assert "slope[0]" in qt.saturated
     assert qt.slopes_fxp[0] == 127
     # a mantissa past the float range is an error naming the field, not a saturation
     huge = replace(inflated, intercepts=inflated.intercepts[:2] + (-1e308,) + inflated.intercepts[3:])
     with pytest.raises(ValueError, match=r"field intercepts\[2\]"):
-        fxp_quantize_table(huge, frac_bits=5, bits=8)
+        fxp_quantize_table(huge)
 
 
 def test_fxp_quantize_table_rejects_scale_carrying():
     with pytest.raises(ValueError):
-        fxp_quantize_table(gelu_table(), 5, 8)
+        fxp_quantize_table(gelu_table())
 
 
 def test_plan_presets_match_configuration():
@@ -337,7 +338,7 @@ def test_plan_folding_properties(kind, xs):
 
 def test_breakpoint_deviation_detects_round_down():
     table = gelu_table(points=(1.3,))
-    qt = quantize_table(table, PowTwoScale(0), 8)
+    qt = quantize_table(table, PowTwoScale(0))
     assert qt.breakpoints_q == (1,)
     # float path puts x=1 below the breakpoint, integer path at/above it
     assert breakpoint_deviation(table, qt, 8) == (1,)
@@ -345,13 +346,13 @@ def test_breakpoint_deviation_detects_round_down():
 
 def test_breakpoint_deviation_empty_for_grid_aligned():
     table = gelu_table(points=(-2.0, 1.0, 3.0))
-    qt = quantize_table(table, PowTwoScale(0), 8)
+    qt = quantize_table(table, PowTwoScale(0))
     assert breakpoint_deviation(table, qt, 8) == ()
 
 
 def test_eval_qpwl_real_wide_range_matches_dequantized_params():
     table = div_table()
-    qt = fxp_quantize_table(table, frac_bits=5, bits=8)
+    qt = fxp_quantize_table(table)
     xs = np.linspace(0.5, 4.0, 57)
     ys = eval_qpwl_real(qt, xs)
     for x, y in zip(xs, ys):
