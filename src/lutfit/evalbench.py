@@ -115,8 +115,8 @@ def wide_range_mse(
 ) -> float:
     """Pooled MSE of a wide-range operator through its fixed-point table.
 
-    The table is rounded to datapath.frac_bits fixed point, saturated at
-    datapath.input_bits. Samples the inner range at the fitness-grid step
+    The table is rounded to datapath.frac_bits fixed point by
+    fxp_quantize_table. Samples the inner range at the fitness-grid step
     and each finite sub-range at 1024 uniform points; every sample
     is folded in by select_subrange, evaluated on the fixed-point table,
     rescaled and compared with the reference of table.spec.

@@ -202,8 +202,9 @@ def quantize_table(
 
 
 def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfig()) -> QPwlTable:
-    """Round a wide-range table's fields to datapath.frac_bits fixed point,
-    datapath.input_bits wide.
+    """Round a wide-range table's fields to datapath.frac_bits fixed point:
+    slopes and intercepts datapath.param_bits wide, breakpoints
+    datapath.input_bits.
 
     Values outside the representable range saturate; every saturation is
     recorded in the result.
@@ -213,21 +214,21 @@ def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfi
     frac_bits, bits = datapath.frac_bits, datapath.input_bits
     saturated = []
 
-    def convert(values, label):
+    def convert(values, label, width):
         out = []
         for i, m in enumerate(_mantissas(values, frac_bits, f"{label}s")):
-            clamped = saturate(m, bits)
+            clamped = saturate(m, width)
             if clamped != m:
                 saturated.append(f"{label}[{i}]")
             out.append(clamped)
         return out
 
-    slopes = convert(table.slopes, "slope")
-    intercepts = convert(table.intercepts, "intercept")
-    bps = convert(table.breakpoints.points, "breakpoint")
+    slopes = convert(table.slopes, "slope", datapath.param_bits)
+    intercepts = convert(table.intercepts, "intercept", datapath.param_bits)
+    bps = convert(table.breakpoints.points, "breakpoint", bits)
     if saturated:
-        logger.warning("%s: saturated fields %s at %d-bit fxp", table.spec.kind.value,
-                       saturated, bits)
+        logger.warning("%s: saturated fields %s at %d-bit parameters, %d-bit breakpoints",
+                       table.spec.kind.value, saturated, datapath.param_bits, bits)
     bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
         bps, slopes, intercepts, f"{table.spec.kind.value}@fxp{bits}.{frac_bits}"
     )

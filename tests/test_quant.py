@@ -202,13 +202,29 @@ def test_fxp_quantize_table_records_saturation():
         breakpoints=table.breakpoints,
         spec=table.spec,
     )
-    qt = fxp_quantize_table(inflated)
+    narrow = DatapathConfig(param_bits=8)
+    qt = fxp_quantize_table(inflated, narrow)
     assert "slope[0]" in qt.saturated
     assert qt.slopes_fxp[0] == 127
     # a mantissa past the float range is an error naming the field, not a saturation
     huge = replace(inflated, intercepts=inflated.intercepts[:2] + (-1e308,) + inflated.intercepts[3:])
     with pytest.raises(ValueError, match=r"field intercepts\[2\]"):
-        fxp_quantize_table(huge)
+        fxp_quantize_table(huge, narrow)
+
+
+def test_fxp_quantize_table_parameters_are_param_bits_wide():
+    table = div_table()
+    steep = replace(table, slopes=(-8.0,) + table.slopes[1:],
+                    intercepts=(6.0,) + table.intercepts[1:])
+    qt = fxp_quantize_table(steep)
+    assert (qt.slopes_fxp[0], qt.intercepts_fxp[0]) == (-256, 192)
+    assert qt.saturated == ()
+    qt = fxp_quantize_table(steep, DatapathConfig(param_bits=8))
+    assert (qt.slopes_fxp[0], qt.intercepts_fxp[0]) == (-128, 127)
+    assert qt.saturated == ("slope[0]", "intercept[0]")
+    # breakpoints stay input_bits wide: 4.0 is mantissa 128 at 5 fractional bits
+    wide_bps = replace(table, breakpoints=BreakpointSet((0.75, 1.0, 1.5, 4.0), DIV.search_range))
+    assert fxp_quantize_table(wide_bps).saturated == ("breakpoint[3]",)
 
 
 def test_fxp_quantize_table_rejects_scale_carrying():
