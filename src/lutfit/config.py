@@ -244,6 +244,8 @@ def config_from_dict(data: dict) -> RunConfig:
             f"invalid field ga.n_breakpoints: {ga.n_breakpoints} does not match "
             f"entries {entries} (expected {entries - 1})"
         )
+    if ga.mutation_kind is MutationKind.ROUNDING and ga.rm_prob == 0:
+        raise ConfigError("invalid field ga.mutation_kind: rm never snaps with ga.rm_prob 0")
 
     # lambda is datapath.frac_bits, which schema v1 also accepts as
     # ga.fxp_frac_bits; it is no wider than the int64 datapath's mantissas.
@@ -289,6 +291,11 @@ def config_from_dict(data: dict) -> RunConfig:
         seeds=tuple(json_field(data, "seeds", list, default=(0,), items=int)),
         out_dir=json_field(_object(data, "output"), "dir", str, "output", default="out"),
     )
+    if function not in SCALE_CARRYING and cfg.scale_exponents != DEFAULT_SCALE_EXPONENTS:
+        raise ConfigError(
+            f"invalid field scale_exponents: a {function.value} table is evaluated over its "
+            f"scaling plan, not a scale sweep; got {list(cfg.scale_exponents)}"
+        )
     with naming():
         cfg.spec()
     return cfg

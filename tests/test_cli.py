@@ -143,6 +143,11 @@ MALFORMED_CONFIG = {
     "seeds-repeated": ({"function": "gelu", "seeds": [0, 1, 0]}, "invalid field seeds:"),
     "scale_exponents-empty": ({"function": "gelu", "scale_exponents": []},
                               "invalid field scale_exponents:"),
+    # no setting is accepted and then ignored
+    "scale_exponents-wide-range": ({"function": "div", "scale_exponents": [-3]},
+                                   "invalid field scale_exponents:"),
+    "rm-without-rm_prob": ({"function": "div", "ga": {"mutation_kind": "rm"}},
+                           "invalid field ga.mutation_kind:"),
 }
 
 
@@ -786,6 +791,8 @@ def test_main_flag_equals_its_config_field(tmp_path, capsys, monkeypatch, case):
 def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
     _write_fit(table_path, "gelu")
+    div_path = str(tmp_path / "div.fit.json")
+    _write_fit(div_path, "div")
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"function": "gelu", "ga": 5}))
     out = str(tmp_path / "out")
@@ -795,6 +802,9 @@ def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
         ([*fit, "--seeds", "0,0"], "seeds"),
         ([*fit, "--iterations", "-1"], "ga.iterations"),
         (["eval", "--table", table_path, "--scales", ","], "scale_exponents"),
+        # a wide-range eval sweeps no scales; rm under a zero rm_prob never snaps
+        (["eval", "--table", div_path, "--scales=-3"], "scale_exponents"),
+        (["fit", "--function", "div", "--mutation", "rm"], "ga.mutation_kind"),
         # a flag is written into its section only when that is an object
         (["fit", "--config", str(cfg_path), "--iterations", "3"], "ga"),
     ):
@@ -892,6 +902,27 @@ def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
     assert not os.path.exists(out6)
     # the stock config (frac_bits 5) exports the same qtable
     assert main(["export", "--table", qtable_path, "--format", "header", "--out", out6]) == 0
+
+
+def test_main_export_checks_field_widths_in_every_format(tmp_path, capsys):
+    # a slope mantissa of 300 needs 10 bits; a data export holds the same
+    # fields as memh and header, so all three reject it
+    qt = QPwlTable(slopes_fxp=(0, 300), intercepts_fxp=(0, 0), breakpoints_q=(0,), frac_bits=5,
+                   spec=GELU, scale=PowTwoScale(-5))
+    qtable_path = str(tmp_path / "wide.qtable.json")
+    write_qtable_artifact(qtable_path, qt, Provenance("abc", 0))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "gelu", "datapath": {"param_bits": 8}}))
+    out = str(tmp_path / "out")
+    for fmt in ("data", "header", "memh"):
+        argv = ["export", "--table", qtable_path, "--format", fmt, "--config", str(cfg_path),
+                "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "slope 300 does not fit datapath.param_bits 8" in err, err
+    assert not os.path.exists(out)
+    # the stock 16-bit parameter fields hold it
+    assert main(["export", "--table", qtable_path, "--format", "data", "--out", out]) == 0
 
 
 # Two fixed tables written as fit artifacts, exported in every format by the
