@@ -34,12 +34,10 @@ class ScaleSweepReport:
     """Per-scale and averaged quantization-aware MSE of one table."""
 
     per_scale: tuple[tuple[int, float], ...]
-    average_mse: float
 
-    def __post_init__(self):
-        mean = sum(m for _, m in self.per_scale) / len(self.per_scale)
-        if not math.isclose(mean, self.average_mse, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("average_mse does not match per_scale mean")
+    @property
+    def average_mse(self) -> float:
+        return sum(m for _, m in self.per_scale) / len(self.per_scale)
 
 
 # Default evaluation sweep. Scales coarser than 2^-1 quantize breakpoints
@@ -99,12 +97,8 @@ def sweep_scales(
     exponents = tuple(exponents)
     if not exponents:
         raise ValueError("at least one exponent required")
-    per_scale = tuple(
-        (e, quant_aware_mse(table, PowTwoScale(e), datapath)) for e in exponents
-    )
     return ScaleSweepReport(
-        per_scale=per_scale,
-        average_mse=sum(m for _, m in per_scale) / len(per_scale),
+        tuple((e, quant_aware_mse(table, PowTwoScale(e), datapath)) for e in exponents)
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from lutfit.evalbench import (
     DEFAULT_SCALE_EXPONENTS,
-    ScaleSweepReport,
     eval_range_q,
     quant_aware_mse,
     sweep_scales,
@@ -85,14 +84,6 @@ def test_sweep_scales_report_consistency():
     assert report.average_mse == pytest.approx(
         sum(m for _, m in report.per_scale) / 3, rel=1e-14
     )
-
-
-def test_report_rejects_inconsistent_average():
-    with pytest.raises(ValueError):
-        ScaleSweepReport(
-            per_scale=((-5, 1.0), (-4, 2.0)),
-            average_mse=1.9,
-        )
 
 
 def test_default_sweep_set():
