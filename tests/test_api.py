@@ -3,13 +3,14 @@ what a fresh interpreter loads to run each command."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import lutfit
-from lutfit.artifacts import Provenance, write_fit_artifact
+from lutfit.artifacts import Provenance, render_c_header, render_memh, write_fit_artifact
 from lutfit.cli import main
 from lutfit.config import config_from_dict
 from lutfit.nonlin import Kind, default_spec
@@ -24,6 +25,18 @@ SRC = os.path.dirname(os.path.dirname(lutfit.__file__))
 def test_all_names_resolve():
     missing = [name for name in lutfit.__all__ if not hasattr(lutfit, name)]
     assert not missing, missing
+
+
+def test_table_functions_take_the_format_from_the_datapath():
+    # lambda and the field widths have one home, DatapathConfig; a loose
+    # width argument next to it could disagree with it.
+    loose = {"bits", "frac_bits", "input_bits", "param_bits", "breakpoint_bits"}
+    functions = (lutfit.quantize_table, lutfit.fxp_quantize_table, render_c_header, render_memh,
+                 lutfit.int_pwl, lutfit.quant_aware_mse, lutfit.sweep_scales,
+                 lutfit.wide_range_mse)
+    found = {fn.__name__: sorted(loose & set(inspect.signature(fn).parameters))
+             for fn in functions}
+    assert not any(found.values()), found
 
 
 def test_benchmark_workload_configs_load():
