@@ -65,14 +65,15 @@ def _spec_to_dict(spec: NonLinSpec) -> dict:
 
 
 def _spec_from_dict(data: dict) -> NonLinSpec:
-    kind = json_field(data, "kind", str, "function", choices=[k.value for k in Kind])
+    kind = Kind(json_field(data, "kind", str, "function", choices=[k.value for k in Kind]))
+    search_range = tuple(json_field(data, "search_range", list, "function", items=NUMBER, length=2))
     with naming("function"):
-        return NonLinSpec(
-            kind=Kind(kind),
-            search_range=tuple(json_field(data, "search_range", list, "function", items=NUMBER,
-                                          length=2)),
-            scale_carrying=json_field(data, "scale_carrying", bool, "function"),
-        )
+        spec = NonLinSpec(kind=kind, search_range=search_range)
+    # the key restates the kind, so it must agree with it
+    if json_field(data, "scale_carrying", bool, "function") != spec.scale_carrying:
+        raise ConfigError(f"invalid field function.scale_carrying: {kind.value} must have "
+                          f"scale_carrying={spec.scale_carrying}")
+    return spec
 
 
 def fit_artifact_text(table: PwlTable, provenance: Provenance) -> str:

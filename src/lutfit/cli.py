@@ -63,7 +63,7 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
         path = os.path.join(cfg.out_dir, f"{stem}_seed{seed}.fit.json")
         write_fit_artifact(path, table, Provenance(chash, seed))
         written.append(path)
-        mse = fitness_mse(table, spec)
+        mse = fitness_mse(table)
         if best_mse is None or mse < best_mse:
             best_seed, best_table, best_mse = seed, table, mse
         log_rows.extend((seed, gen, value) for gen, value in log)
@@ -137,7 +137,6 @@ def cmd_export(
     table_path: str,
     fmt: str,
     scale_exp: int | None = None,
-    name: str | None = None,
     artifact=None,
 ) -> str:
     """Export a table artifact in one of the hardware formats; returns the path.
@@ -146,8 +145,9 @@ def cmd_export(
     a signed datapath.input_bits input, slope and intercept fields at
     datapath.param_bits and breakpoint fields at datapath.input_bits. Every
     format checks the table against it (check_format); a quantized-table
-    artifact is exported as stored. artifact is read_artifact(table_path)
-    when the caller has read it.
+    artifact is exported as stored. The header's identifier prefix is the
+    artifact's stem. artifact is read_artifact(table_path) when the caller
+    has read it.
     """
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(
@@ -173,13 +173,12 @@ def cmd_export(
 
     stem, _ = os.path.splitext(os.path.basename(table_path))
     stem = stem.removesuffix(".fit").removesuffix(".qtable")
-    name = name or stem
     if fmt == "data":
         path = os.path.join(cfg.out_dir, f"{stem}.qtable.json")
         write_qtable_artifact(path, qtable, provenance)
     elif fmt == "header":
         path = os.path.join(cfg.out_dir, f"{stem}.h")
-        atomic_write(path, render_c_header(qtable, provenance, name, dp))
+        atomic_write(path, render_c_header(qtable, provenance, stem, dp))
     else:
         path = os.path.join(cfg.out_dir, f"{stem}.memh")
         atomic_write(path, render_memh(qtable, provenance, dp))
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--table", required=True, help="table artifact to export")
     p_export.add_argument("--format", required=True, help="data, header or memh")
     p_export.add_argument("--scale-exp", type=int, default=None)
-    p_export.add_argument("--name", help="identifier prefix for the header export")
     p_export.add_argument("--config", help="JSON run-config file")
     p_export.add_argument("--out", help="output directory (default: out)")
 
@@ -269,8 +267,7 @@ def main(argv=None) -> int:
             if args.command == "eval":
                 written = cmd_eval(cfg, args.table, artifact)
             else:
-                written = [cmd_export(cfg, args.table, args.format, args.scale_exp, args.name,
-                                      artifact)]
+                written = [cmd_export(cfg, args.table, args.format, args.scale_exp, artifact)]
     except (ConfigError, ValueError, OSError, AccumulatorOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,29 +55,24 @@ class NonLinSpec:
 
     kind: Kind
     search_range: tuple[float, float]
-    scale_carrying: bool
 
     def __post_init__(self):
         lo, hi = self.search_range
         if not (lo < hi):
             raise FieldError("search_range", f"search_range must satisfy lo < hi, got ({lo}, {hi})")
-        expected = self.kind in SCALE_CARRYING
-        if self.scale_carrying != expected:
-            raise FieldError("scale_carrying",
-                             f"{self.kind.value} must have scale_carrying={expected}")
         if self.kind in (Kind.DIV, Kind.RSQRT) and lo <= 0.0:
             raise FieldError("search_range", f"{self.kind.value} search range must be strictly "
                                              f"positive, got lo={lo}")
+
+    @property
+    def scale_carrying(self) -> bool:
+        return self.kind in SCALE_CARRYING
 
 
 def default_spec(kind: Kind | str) -> NonLinSpec:
     """Spec with the stock search range for the given operator."""
     kind = Kind(kind)
-    return NonLinSpec(
-        kind=kind,
-        search_range=SEARCH_RANGES[kind],
-        scale_carrying=kind in SCALE_CARRYING,
-    )
+    return NonLinSpec(kind=kind, search_range=SEARCH_RANGES[kind])
 
 
 def eval_ref(spec: NonLinSpec, x):

@@ -182,13 +182,11 @@ class FitnessScorer:
     ref overrides the reference function (used by tests with stub targets).
     """
 
-    def __init__(self, spec: NonLinSpec, step: float = FITNESS_STEP, ref=None):
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
+    def __init__(self, spec: NonLinSpec, ref=None):
         self.spec = spec
         self.ref = ref
         self.lo, self.hi = spec.search_range
-        self.xs, self.count = fitness_grid(spec.search_range, step)
+        self.xs, self.count = fitness_grid(spec.search_range, FITNESS_STEP)
         self.fx = reference_values(spec, self.xs, ref)
 
     def table_mse(self, points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> float:
@@ -206,17 +204,17 @@ class FitnessScorer:
 
 
 # Shared scorers: the grid and its reference values are built once per
-# (spec, step, ref).
+# (spec, ref).
 fitness_scorer = functools.lru_cache(maxsize=32)(FitnessScorer)
 
 
-def fitness_mse(table: PwlTable, spec: NonLinSpec, step: float = FITNESS_STEP, ref=None) -> float:
-    """Mean squared error of the table on the step-spaced range grid.
+def fitness_mse(table: PwlTable, ref=None) -> float:
+    """Mean squared error of the table on its spec's FITNESS_STEP grid.
 
-    The sum of squared errors is divided by (hi - lo) / step, matching the
-    optimizer's running-mean accumulation.
+    The sum of squared errors is divided by (hi - lo) / FITNESS_STEP,
+    matching the optimizer's running-mean accumulation.
     """
-    return fitness_scorer(spec, step, ref).table_mse(
+    return fitness_scorer(table.spec, ref).table_mse(
         np.asarray(table.breakpoints.points), np.asarray(table.slopes),
         np.asarray(table.intercepts),
     )

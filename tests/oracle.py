@@ -6,7 +6,6 @@ from itertools import combinations
 
 from lutfit.nonlin import NonLinSpec
 from lutfit.pwl import (
-    FITNESS_STEP,
     MIN_GAP,
     BreakpointSet,
     PwlTable,
@@ -39,7 +38,7 @@ def brute_force_oracle(
     if n_combos > budget:
         raise ValueError(f"{n_combos} candidate tuples exceed the budget of {budget}")
 
-    scorer = fitness_scorer(spec, FITNESS_STEP, ref)
+    scorer = fitness_scorer(spec, ref)
     best_mse = math.inf
     best_pts = None
     for pts in combinations(grid.tolist(), n_breakpoints):

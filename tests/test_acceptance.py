@@ -180,12 +180,12 @@ def test_criterion_4_oracle_dominance():
         start = time.monotonic()
         oracle = brute_force_oracle(spec, nb, 0.05)
         oracle_seconds = time.monotonic() - start
-        oracle_mse = fitness_mse(oracle, spec)
+        oracle_mse = fitness_mse(oracle)
         ratios = []
         for seed in SEEDS:
             table = get_fit(Kind.EXP, 8, seed, mutation=MutationKind.GAUSSIAN, n_breakpoints=nb)
             float_table = derive_table(spec, table.breakpoints)
-            ratios.append(fitness_mse(float_table, spec) / oracle_mse)
+            ratios.append(fitness_mse(float_table) / oracle_mse)
         med = statistics.median(ratios)
         ok = med <= 1.05 and oracle_seconds < 30.0
         print(f"ACCEPTANCE 4 (oracle dominance, {nb} breakpoints): median ratio {med:.4f}, "
@@ -236,7 +236,7 @@ def test_criterion_6_property_suite():
     linear = lambda v: np.asarray(v, dtype=float)
     spec = default_spec(Kind.GELU)
     bps = BreakpointSet(points=(-1.5, 0.5, 2.0), search_range=spec.search_range)
-    lin_mse = fitness_mse(derive_table(spec, bps, ref=linear), spec, ref=linear)
+    lin_mse = fitness_mse(derive_table(spec, bps, ref=linear), ref=linear)
     results.append(("linear exactness", lin_mse <= 1e-12, f"mse {lin_mse:.1e}"))
 
     # continuity at breakpoints of derived tables (fitted + random)

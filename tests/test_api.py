@@ -1,5 +1,6 @@
-"""Public names the package exports and the benchmark tracer wraps, and
-what a fresh interpreter loads to run each command."""
+"""Public names the package exports and the benchmark tracer wraps, the
+arguments the API does not take, and what a fresh interpreter loads to run
+each command."""
 
 import importlib
 import importlib.util
@@ -8,13 +9,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+
+import pytest
 
 import lutfit
 from lutfit.artifacts import Provenance, render_c_header, render_memh, write_fit_artifact
-from lutfit.cli import main
+from lutfit.cli import build_parser, cmd_export, main
 from lutfit.config import config_from_dict
-from lutfit.nonlin import Kind, default_spec
-from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
+from lutfit.nonlin import Kind, NonLinSpec, default_spec
+from lutfit.pwl import BreakpointSet, FitnessScorer, derive_table, fitness_mse, fxp_round_table
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACED = os.path.join(PERFBENCH, "traced.py")
@@ -37,6 +41,19 @@ def test_table_functions_take_the_format_from_the_datapath():
     found = {fn.__name__: sorted(loose & set(inspect.signature(fn).parameters))
              for fn in functions}
     assert not any(found.values()), found
+
+
+def test_no_argument_restates_what_its_owner_holds():
+    # scale_carrying follows from the kind, the fitness step is FITNESS_STEP,
+    # a table carries its spec and a header is named after its artifact
+    assert [f.name for f in fields(NonLinSpec)] == ["kind", "search_range"]
+    assert list(inspect.signature(fitness_mse).parameters) == ["table", "ref"]
+    assert list(inspect.signature(FitnessScorer).parameters) == ["spec", "ref"]
+    assert "name" not in inspect.signature(cmd_export).parameters
+    export = ["export", "--table", "t.fit.json", "--format", "header"]
+    build_parser().parse_args(export)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*export, "--name", "lut"])
 
 
 def test_benchmark_workload_configs_load():
@@ -70,7 +87,7 @@ def test_traced_layers_resolve():
 # each, the loaded modules the start-up test watches.
 CHILD = """
 import json, sys
-from lutfit.cli import main
+from lutfit.cli import build_parser, cmd_export, main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:

@@ -507,7 +507,7 @@ def test_cmd_fit_multi_seed_best_selection(tmp_path):
     for p in written:
         if "seed" in os.path.basename(p):
             t, prov = read_artifact(p)
-            per_seed[prov.seed] = fitness_mse(t, GELU)
+            per_seed[prov.seed] = fitness_mse(t)
         elif p.endswith("best.fit.json"):
             best = read_artifact(p)
     best_table, best_prov = best

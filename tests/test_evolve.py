@@ -236,7 +236,7 @@ def test_evolve_zero_iterations_returns_best_initial():
     # independent replay: the initial population is drawn first from the
     # same stream, so the winner must be its fitness argmin
     pop = init_population(cfg, GELU, make_rng(7))
-    best = min(pop, key=lambda ind: fitness_mse(derive_table(GELU, ind), GELU))
+    best = min(pop, key=lambda ind: fitness_mse(derive_table(GELU, ind)))
     assert table.breakpoints == best
 
 
@@ -254,12 +254,12 @@ def test_selection_only_drift_loses_diversity():
     cfg = GaConfig(n_breakpoints=3, population_size=16, cross_prob=0.0, mutate_prob=0.0)
     rng = make_rng(11)
     pop = init_population(cfg, GELU, rng)
-    fitness = [fitness_mse(derive_table(GELU, ind), GELU) for ind in pop]
+    fitness = [fitness_mse(derive_table(GELU, ind)) for ind in pop]
     for _ in range(5):
         nxt = [pop[k] for k in _tournament_picks(fitness, rng)]
         assert set(nxt) <= set(pop)
         pop = nxt
-        fitness = [fitness_mse(derive_table(GELU, ind), GELU) for ind in pop]
+        fitness = [fitness_mse(derive_table(GELU, ind)) for ind in pop]
 
 
 def test_smoothed_min_fitness_descends():
@@ -277,7 +277,7 @@ def test_smoothed_min_fitness_descends():
 
 def test_short_ga_tracks_oracle_on_exp():
     oracle = brute_force_oracle(EXP, 1, 0.05)
-    oracle_mse = fitness_mse(oracle, EXP)
+    oracle_mse = fitness_mse(oracle)
     cfg = GaConfig(
         n_breakpoints=1,
         population_size=50,
@@ -285,7 +285,7 @@ def test_short_ga_tracks_oracle_on_exp():
         mutation_kind=MutationKind.GAUSSIAN,
     )
     table = evolve(EXP, cfg, 3)
-    float_mse = fitness_mse(derive_table(EXP, table.breakpoints), EXP)
+    float_mse = fitness_mse(derive_table(EXP, table.breakpoints))
     assert float_mse <= 1.3 * oracle_mse
 
 

@@ -71,13 +71,9 @@ def test_domain_error_nonpositive(kind):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        NonLinSpec(kind=Kind.GELU, search_range=(4.0, -4.0), scale_carrying=True)
+        NonLinSpec(kind=Kind.GELU, search_range=(4.0, -4.0))
     with pytest.raises(ValueError):
-        NonLinSpec(kind=Kind.GELU, search_range=(-4.0, 4.0), scale_carrying=False)
-    with pytest.raises(ValueError):
-        NonLinSpec(kind=Kind.DIV, search_range=(0.5, 4.0), scale_carrying=True)
-    with pytest.raises(ValueError):
-        NonLinSpec(kind=Kind.DIV, search_range=(-0.5, 4.0), scale_carrying=False)
+        NonLinSpec(kind=Kind.DIV, search_range=(-0.5, 4.0))
 
 
 def test_default_specs_match_stock_ranges():
