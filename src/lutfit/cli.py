@@ -145,23 +145,29 @@ def cmd_export(
     a signed datapath.input_bits input, slope and intercept fields at
     datapath.param_bits and breakpoint fields at datapath.input_bits. Every
     format checks the table against it (check_format); a quantized-table
-    artifact is exported as stored. The header's identifier prefix is the
-    artifact's stem. artifact is read_artifact(table_path) when the caller
-    has read it.
+    artifact is exported as stored. scale_exp quantizes a scale-carrying
+    fit; a quantized table takes only its stored exponent, a div or rsqrt
+    table none. The header's identifier prefix is the artifact's stem.
+    artifact is read_artifact(table_path) when the caller has read it.
     """
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(
             f"unsupported format {fmt!r}; supported formats: {', '.join(EXPORT_FORMATS)}"
         )
     table, provenance = _read_table(cfg, table_path, artifact)
+    kind = table.spec.kind.value
+    if scale_exp is not None and not table.spec.scale_carrying:
+        raise ConfigError(f"invalid --scale-exp: a {kind} table is exported at "
+                          f"datapath.frac_bits and takes no scale, got {scale_exp}")
     dp = cfg.datapath
     if isinstance(table, QPwlTable):
+        if scale_exp not in (None, table.scale.exponent):
+            raise ConfigError(f"invalid --scale-exp: the quantized table is stored at "
+                              f"2^{table.scale.exponent}, got {scale_exp}")
         qtable = table
     elif table.spec.scale_carrying:
         if scale_exp is None:
-            raise ConfigError(
-                f"{table.spec.kind.value} export requires --scale-exp (power-of-two exponent)"
-            )
+            raise ConfigError(f"{kind} export requires --scale-exp (power-of-two exponent)")
         try:
             scale = PowTwoScale(scale_exp)
         except ValueError as exc:

@@ -904,6 +904,36 @@ def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
     assert main(["export", "--table", qtable_path, "--format", "header", "--out", out6]) == 0
 
 
+def test_main_export_rejects_a_scale_exp_it_would_ignore(tmp_path, capsys):
+    # a div table is exported at datapath.frac_bits, and a quantized table at
+    # the scale it was stored at; a --scale-exp either would ignore exits 2
+    gelu, div = str(tmp_path / "gelu.fit.json"), str(tmp_path / "div.fit.json")
+    _write_fit(gelu, "gelu")
+    _write_fit(div, "div")
+    stored = str(tmp_path / "stored")
+    for argv in (["--table", gelu, "--scale-exp", "-5"], ["--table", div]):
+        assert main(["export", *argv, "--format", "data", "--out", stored]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    for table, scale_exp in ((div, "-5"), (os.path.join(stored, "div.qtable.json"), "-5"),
+                             (os.path.join(stored, "gelu.qtable.json"), "-2")):
+        for fmt in ("data", "header", "memh"):
+            argv = ["export", "--table", table, "--format", fmt, "--scale-exp", scale_exp,
+                    "--out", out]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "invalid --scale-exp" in err, err
+    assert not os.path.exists(out)
+    # the stored exponent restates the qtable's scale and exports as without it
+    qtable = os.path.join(stored, "gelu.qtable.json")
+    for flags, directory in (([], "plain"), (["--scale-exp", "-5"], "restated")):
+        argv = ["export", "--table", qtable, "--format", "header", *flags]
+        assert main([*argv, "--out", str(tmp_path / directory)]) == 0
+    header = (tmp_path / "restated" / "gelu.h").read_text()
+    assert "#define GELU_SCALE_EXP -5" in header
+    assert header == (tmp_path / "plain" / "gelu.h").read_text()
+
+
 def test_main_export_checks_field_widths_in_every_format(tmp_path, capsys):
     # a slope mantissa of 300 needs 10 bits; a data export holds the same
     # fields as memh and header, so all three reject it
