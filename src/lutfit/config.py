@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 from ._fields import NULL, NUMBER, ConfigError, json_field, naming
 from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
-from .fxp import MAX_ACC_BITS, DatapathConfig
+from .fxp import MAX_ACC_BITS, DatapathConfig, fits, to_mantissa
 from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec
+from .pwl import MIN_GAP
 from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 
 SCHEMA_VERSION = 1
@@ -297,7 +298,18 @@ def config_from_dict(data: dict) -> RunConfig:
             f"scaling plan, not a scale sweep; got {list(cfg.scale_exponents)}"
         )
     with naming():
-        cfg.spec()
+        spec = cfg.spec()
+    # The GA places a breakpoint up to MIN_GAP below the range's top; a
+    # wide-range breakpoint is a mantissa at lambda in the signed input.
+    top = spec.search_range[1] - MIN_GAP
+    if not spec.scale_carrying and not (
+        math.isfinite(top * 2.0**frac_bits)
+        and fits(to_mantissa(top, frac_bits), datapath.input_bits)
+    ):
+        raise ConfigError(
+            f"invalid field datapath.frac_bits: breakpoint {top} at {frac_bits} fractional bits "
+            f"does not fit the signed datapath.input_bits {datapath.input_bits}"
+        )
     return cfg
 
 

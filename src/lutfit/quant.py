@@ -324,7 +324,8 @@ class RangeScalingPlan:
 
     Sub-ranges tile [inner hi, +inf); inputs inside the inner range pass
     through unscaled. The final sub-range is open-ended: its scaled inputs
-    may exceed the fitted range and clamp into the last table segment.
+    may exceed the fitted range and clamp into the last table segment. An
+    rsqrt plan's exponents are even, so its output rescale is a shift.
     """
 
     inner_range: tuple[float, float]
@@ -340,7 +341,12 @@ class RangeScalingPlan:
         if not self.sub_ranges:
             raise ValueError("at least one sub-range required")
         prev_hi = hi
-        for sr in self.sub_ranges:
+        for i, sr in enumerate(self.sub_ranges):
+            if self.op_kind is Kind.RSQRT and sr.scale.exponent % 2:
+                raise FieldError(
+                    f"sub_ranges[{i}].exponent",
+                    f"rsqrt rescales by 2^(e/2), a shift only for an even e, got {sr.scale.exponent}",
+                )
             if sr.lo != prev_hi:
                 raise ValueError(
                     f"sub-ranges must tile contiguously from {hi}: got lo={sr.lo}, expected {prev_hi}"

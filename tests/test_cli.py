@@ -148,7 +148,28 @@ MALFORMED_CONFIG = {
                                    "invalid field scale_exponents:"),
     "rm-without-rm_prob": ({"function": "div", "ga": {"mutation_kind": "rm"}},
                            "invalid field ga.mutation_kind:"),
+    # a wide-range breakpoint is a lambda mantissa in the signed input: at
+    # lambda 6, 3.98 needs 9 bits
+    "frac_bits-wide-range-input": ({"function": "div", "datapath": {"frac_bits": 6}},
+                                   "invalid field datapath.frac_bits:"),
+    # rsqrt's rescale 2^(e/2) is a shift only for an even exponent
+    "plan-exponent-odd-rsqrt": ({"function": "rsqrt", "plan": {
+        "inner_range": [0.25, 4.0], "sub_ranges": [{"lo": 4.0, "hi": 8.0, "exponent": -1},
+                                                   {"lo": 8.0, "hi": None, "exponent": -3}]}},
+        "invalid field plan.sub_ranges[0].exponent:"),
 }
+
+
+def test_wide_range_config_limits_are_tight():
+    # the largest GA breakpoint, 3.98, is 127 at lambda 5 and fits 8 bits;
+    # at lambda 6 it needs a 16-bit input
+    for function in ("div", "rsqrt"):
+        assert config_from_dict({"function": function}).datapath.frac_bits == 5
+        config_from_dict({"function": function, "datapath": {"frac_bits": 6, "input_bits": 16}})
+    # an even rsqrt exponent is a shift, as in the stock plan
+    config_from_dict({"function": "rsqrt", "plan": {
+        "inner_range": [0.25, 4.0], "sub_ranges": [{"lo": 4.0, "hi": 16.0, "exponent": -2},
+                                                   {"lo": 16.0, "hi": None, "exponent": -4}]}})
 
 
 def test_config_errors_name_offending_field():
@@ -816,7 +837,7 @@ def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
 
 def _write_fit(path: str, function: str):
     spec = default_spec(function)
-    points = {"gelu": (-1.3, 0.7), "div": (1.0, 2.0)}[function]
+    points = {"gelu": (-1.3, 0.7), "div": (1.0, 2.0), "rsqrt": (1.0, 2.0)}[function]
     bps = BreakpointSet(points=points, search_range=spec.search_range)
     write_fit_artifact(path, fxp_round_table(derive_table(spec, bps), 5), Provenance("abc", 0))
 

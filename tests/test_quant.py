@@ -270,6 +270,12 @@ def test_plan_validation():
             sub_ranges=(SubRange(4.0, 32.0, PowTwoScale(-3)),),  # not open-ended
             op_kind=Kind.DIV,
         )
+    with pytest.raises(ValueError, match="shift only for an even e"):
+        RangeScalingPlan(
+            inner_range=(0.25, 4.0),
+            sub_ranges=(SubRange(4.0, math.inf, PowTwoScale(-3)),),  # sqrt(2^-3) is no shift
+            op_kind=Kind.RSQRT,
+        )
 
 
 def test_select_subrange_div_example():
