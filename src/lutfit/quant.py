@@ -288,27 +288,6 @@ def segment_index(q, table: QPwlTable):
     return int(idx) if np.isscalar(q) else idx
 
 
-def breakpoint_deviation(table: PwlTable, qtable: QPwlTable, bits: int) -> tuple[int, ...]:
-    """Quantized inputs whose integer segment differs from the float choice.
-
-    For each signed bits-wide q the segment implied by the quantized
-    breakpoints (mapped back to original segment numbering) is compared with
-    the segment the real table selects at S*q. The returned q values are the
-    measurable form of breakpoint deviation under scale S.
-    """
-    if qtable.scale is None:
-        raise ValueError("deviation analysis requires a scale-carrying table")
-    s = qtable.scale.value
-    fpts = np.asarray(table.breakpoints.points)
-    segments = np.asarray(qtable.source_segments or tuple(range(qtable.entries)))
-    q_lo, q_hi = int_bounds(bits)
-    q_values = np.arange(q_lo, q_hi + 1)
-    int_idx = segment_index(q_values, qtable)
-    float_idx = np.searchsorted(fpts, s * q_values, side="right")
-    deviated = q_values[segments[int_idx] != float_idx]
-    return tuple(int(q) for q in deviated)
-
-
 @dataclass(frozen=True)
 class SubRange:
     """[lo, hi) slice of the wide input domain with its fold-in scale."""

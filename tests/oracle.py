@@ -1,9 +1,14 @@
-"""Exhaustive breakpoint-enumeration oracle: a lower bound for the genetic
-search in tests."""
+"""Reference computations the tests compare the tool against: an exhaustive
+breakpoint-enumeration oracle, a lower bound for the genetic search, and the
+breakpoint deviation of a quantized table, the inputs whose integer segment
+is not the segment the real table selects."""
 
 import math
 from itertools import combinations
 
+import numpy as np
+
+from lutfit.fxp import int_bounds
 from lutfit.nonlin import NonLinSpec
 from lutfit.pwl import (
     MIN_GAP,
@@ -13,6 +18,7 @@ from lutfit.pwl import (
     fitness_grid,
     fitness_scorer,
 )
+from lutfit.quant import QPwlTable, segment_index
 
 
 def brute_force_oracle(
@@ -53,3 +59,24 @@ def brute_force_oracle(
         raise ValueError("no valid breakpoint tuple on the grid")
     bps = BreakpointSet(points=tuple(best_pts), search_range=spec.search_range)
     return derive_table(spec, bps, ref=ref)
+
+
+def breakpoint_deviation(table: PwlTable, qtable: QPwlTable, bits: int) -> tuple[int, ...]:
+    """Quantized inputs whose integer segment differs from the float choice.
+
+    For each signed bits-wide q the segment implied by the quantized
+    breakpoints (mapped back to original segment numbering) is compared with
+    the segment the real table selects at S*q. The returned q values are the
+    measurable form of breakpoint deviation under scale S.
+    """
+    if qtable.scale is None:
+        raise ValueError("deviation analysis requires a scale-carrying table")
+    s = qtable.scale.value
+    fpts = np.asarray(table.breakpoints.points)
+    segments = np.asarray(qtable.source_segments or tuple(range(qtable.entries)))
+    q_lo, q_hi = int_bounds(bits)
+    q_values = np.arange(q_lo, q_hi + 1)
+    int_idx = segment_index(q_values, qtable)
+    float_idx = np.searchsorted(fpts, s * q_values, side="right")
+    deviated = q_values[segments[int_idx] != float_idx]
+    return tuple(int(q) for q in deviated)

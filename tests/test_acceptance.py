@@ -31,14 +31,13 @@ from lutfit.pwl import (
 )
 from lutfit.quant import (
     PowTwoScale,
-    breakpoint_deviation,
     dequantize,
     get_plan,
     quantize,
     quantize_table,
 )
 
-from oracle import brute_force_oracle
+from oracle import breakpoint_deviation, brute_force_oracle
 
 SEEDS = (0, 1, 2, 3, 4)
 SWEEP = tuple(range(-6, 0))

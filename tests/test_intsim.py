@@ -10,7 +10,9 @@ from lutfit.fxp import DatapathConfig, fits, int_bounds, shift_right_round
 from lutfit.intsim import AccumulatorOverflow, int_pwl, segment_index
 from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, eval_pwl, fxp_round_table
-from lutfit.quant import PowTwoScale, QPwlTable, breakpoint_deviation, quantize_table
+from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
+
+from oracle import breakpoint_deviation
 
 GELU = default_spec(Kind.GELU)
 

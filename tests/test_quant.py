@@ -15,7 +15,6 @@ from lutfit.quant import (
     QPwlTable,
     RangeScalingPlan,
     SubRange,
-    breakpoint_deviation,
     dequantize,
     eval_qpwl_real,
     fxp_quantize_table,
@@ -24,6 +23,8 @@ from lutfit.quant import (
     quantize_table,
     select_subrange,
 )
+
+from oracle import breakpoint_deviation
 
 GELU = default_spec(Kind.GELU)
 DIV = default_spec(Kind.DIV)
