@@ -87,7 +87,7 @@ def test_traced_layers_resolve():
 # each, the loaded modules the start-up test watches.
 CHILD = """
 import json, sys
-from lutfit.cli import build_parser, cmd_export, main
+from lutfit.cli import main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
