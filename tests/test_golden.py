@@ -134,3 +134,31 @@ def test_gaussian_fit_artifacts_match_golden_digests(tmp_path, function, entries
         with open(path, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
     assert tuple(digests) == GAUSSIAN_GOLDEN[(function, entries)]
+
+
+# Stock 500-generation seed-0 fits of the two fit-stock operators that
+# tests/test_acceptance.py's full-length pins (8 entries, artifacts only) do
+# not cover: (artifact, fitlog). The fitlog carries the fitness bits that
+# the rounded artifact hides.
+FULL_LENGTH_GOLDEN = {
+    ("exp", 16): (
+        "8afb0d87cbe9abcf2fc07301f464239b824c427145ace1602756466bb329a813",
+        "c70088b48f0e5748054ce518d60d90017ee7432929338e1138c9060e86b8e0dd",
+    ),
+    ("rsqrt", 16): (
+        "fe69d5c7eeb6fc7389d51e50bb2d6b38339e5bfae67a35b4ed56e951d7b0b1eb",
+        "951fd50a4f121537ee1df0ae4b1e09bba8f0c6963f0f32bce519cc4c92b2aec0",
+    ),
+}
+
+
+@pytest.mark.parametrize("function,entries", sorted(FULL_LENGTH_GOLDEN))
+def test_full_length_sixteen_entry_fits_match_golden_digests(tmp_path, function, entries):
+    cmd_fit(config_from_dict({"function": function, "entries": entries, "seeds": [0],
+                              "output": {"dir": str(tmp_path)}}))
+    stem = os.path.join(str(tmp_path), f"{function}_{entries}e")
+    digests = []
+    for path in (f"{stem}_seed0.fit.json", f"{stem}_fitlog.csv"):
+        with open(path, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    assert tuple(digests) == FULL_LENGTH_GOLDEN[(function, entries)]
