@@ -1,18 +1,19 @@
 """Genetic optimizer over breakpoint sets.
 
-Each generation walks the population: score the individual on the fitness
-grid, then apply segment crossover and mutation in place; the next
-generation is filled by 3-way tournaments over the scores recorded during
-the walk (lower MSE wins, ties to the lowest index). The mutation operator
+Each generation walks the population: record the individual's breakpoints,
+then apply segment crossover and mutation in place; the next generation is
+filled by 3-way tournaments over the fitness of the recorded breakpoints
+(lower MSE wins, ties to the lowest index). The mutation operator
 is either Gaussian noise or rounding mutation, which snaps breakpoints onto
 random power-of-two grids so the evolved placement already tolerates the
 grids later imposed by quantization.
 
 Rounding snaps and tournament copies make most individuals exact repeats of
-one scored in the same or the previous generation, so the walk keeps the
-scores of those two generations keyed by breakpoint tuple and scores only
-the rest. Scoring draws nothing from the RNG, so the memo changes no draw
-and no result. Variation runs on plain float tuples: with a handful of
+one walked in the same or the previous generation. After the walk, the
+distinct recorded tuples that the previous generation did not score are
+scored in one numpy batch; the rest reuse that generation's scores. Scoring
+draws nothing from the RNG, so neither the batch nor the memo changes a draw
+or a result. Variation runs on plain float tuples: with a handful of
 breakpoints per individual, numpy's per-call overhead would cost more than
 the arithmetic.
 
@@ -112,8 +113,11 @@ def crossover(
         raise ValueError("parents belong to different search ranges")
     n = len(a)
     if span is None:
-        cuts = rng.integers(0, n, size=2).tolist()
-        i, j = min(cuts), max(cuts)
+        # two scalar draws make the same bit-generator calls as one size=2
+        # draw, without its np.prod over the size
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        if j < i:
+            i, j = j, i
     else:
         i, j = span
         if not 0 <= i <= j < n:
@@ -169,7 +173,7 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
         snapped = fxp_round(out[idx], i)
         if not (lo + MIN_GAP <= snapped <= hi - MIN_GAP):
             continue
-        if any(abs(v - snapped) < MIN_GAP for k, v in enumerate(out) if k != idx):
+        if any([abs(v - snapped) < MIN_GAP for v in out[:idx] + out[idx + 1 :]]):
             continue
         out[idx] = snapped
     return repaired_breakpoints(out, p.search_range)
@@ -179,28 +183,44 @@ def _tournament_picks(fitnesses, rng: np.random.Generator) -> list[int]:
     """Winner indices of len(fitnesses) independent 3-way tournaments (lower
     MSE wins, ties to the lowest index)."""
     n = len(fitnesses)
-    entrants = rng.integers(0, n, size=(n, 3)).tolist()
-    return [min(row, key=lambda c: (fitnesses[c], c)) for row in entrants]
+    # min over the (fitness, index) pairs makes the same < tests as a key
+    # function would, without calling one
+    return [min((fitnesses[a], a), (fitnesses[b], b), (fitnesses[c], c))[1]
+            for a, b, c in rng.integers(0, n, size=(n, 3)).tolist()]
+
+
+def _score_walk(scorer, walked: list, last: dict) -> tuple[list, dict]:
+    """Fitness of each walked breakpoint tuple, and the scores of this walk.
+
+    Tuples that last (the previous walk's scores) holds reuse its score; the
+    other distinct tuples are scored in one batch.
+    """
+    scores = {points: last.get(points) for points in walked}
+    todo = [points for points, f in scores.items() if f is None]
+    if todo:
+        scores.update(zip(todo, scorer.scores(todo)))
+    return [scores[points] for points in walked], scores
 
 
 def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) -> PwlTable:
     """Run the full genetic search from the Philox stream of seed and return
     the best table.
 
-    Each generation walks the population in index order: an individual is
-    scored first, then crossed over with probability cross_prob (partner
-    drawn from the rest of the population, both parents replaced in place)
-    and mutated with probability mutate_prob. Tournament selection then acts
-    on the scores recorded during the walk, so a variation applied after an
-    individual was scored is not re-priced until the next generation. That
-    lets rounding mutations survive one selection round on the parent's
-    fitness, which is what lets coarse power-of-two placements take hold in
-    the population at all.
+    Each generation walks the population in index order: an individual's
+    breakpoints are recorded first, then it is crossed over with probability
+    cross_prob (partner drawn from the rest of the population, both parents
+    replaced in place) and mutated with probability mutate_prob. Tournament
+    selection then acts on the fitness of the recorded breakpoints, so a
+    variation applied after an individual was recorded is not priced until
+    the next generation. That lets rounding mutations survive one selection
+    round on the parent's fitness, which is what lets coarse power-of-two
+    placements take hold in the population at all.
 
-    Fitness is memoised over two generations: an individual whose
-    breakpoints were already scored in this or the previous generation
-    reuses that score, which is the same float the scorer would return. At
-    most 2 * population_size scores are held.
+    Fitness is scored after the walk: the distinct recorded breakpoints
+    that the previous generation did not score go to the scorer in one
+    batch, and the others reuse the previous generation's score, which is
+    the same float the scorer would return. At most 2 * population_size
+    scores are held: this generation's and the last one's.
 
     The winner of a final scoring pass is returned with its real-valued
     slopes and intercepts; the caller rounds them to the datapath's
@@ -210,26 +230,17 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) 
     rng = make_rng(seed)
     inds = init_population(cfg, spec, rng)
     scorer = fitness_scorer(spec)
-    fitness = [0.0] * cfg.population_size
     sigma = cfg.gaussian_sigma
     if sigma is None:
         lo, hi = spec.search_range
         sigma = 0.05 * (hi - lo)
     n = cfg.population_size
-    scores, prev_scores = {}, {}
-
-    def score(points):
-        f = scores.get(points)
-        if f is None:
-            f = prev_scores.get(points)
-            if f is None:
-                f = scorer(points)
-            scores[points] = f
-        return f
+    walked = [None] * n
+    scores = {}
 
     for gen in range(cfg.iterations):
         for i in range(n):
-            fitness[i] = score(inds[i].points)
+            walked[i] = inds[i].points
             rand_c = rng.random()
             rand_m = rng.random()
             if rand_c < cfg.cross_prob and n > 1:
@@ -242,13 +253,13 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) 
                     inds[i] = gaussian_mutate(inds[i], sigma, rng)
                 else:
                     inds[i] = rounding_mutate(inds[i], cfg, rng)
+        fitness, scores = _score_walk(scorer, walked, scores)
         if log is not None:
             log.append((gen, min(fitness)))
         picks = _tournament_picks(fitness, rng)
         inds = [inds[k] for k in picks]
-        scores, prev_scores = {}, scores
 
-    fitness = [score(ind.points) for ind in inds]
+    fitness, _ = _score_walk(scorer, [ind.points for ind in inds], scores)
     best = min(range(n), key=lambda k: (fitness[k], k))
     if log is not None:
         log.append((cfg.iterations, fitness[best]))

@@ -67,9 +67,9 @@ def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...
     if hi - lo < (n + 1) * MIN_GAP:
         raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {MIN_GAP}")
     floor, ceil = lo + MIN_GAP, hi - MIN_GAP
-    # np.clip's order, as comparisons: builtin min/max calls cost twice as much
-    pts = [floor if v < floor else v for v in sorted(map(float, values))]
-    pts = [ceil if v > ceil else v for v in pts]
+    # np.clip as comparisons (builtin min/max calls cost twice as much); the
+    # range check above keeps floor <= ceil, so one pass gives clip's result
+    pts = [floor if v < floor else ceil if v > ceil else v for v in sorted(map(float, values))]
     for k in range(1, n):
         if pts[k] < pts[k - 1] + MIN_GAP:
             pts[k] = pts[k - 1] + MIN_GAP
@@ -83,8 +83,28 @@ def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...
     return tuple(pts)
 
 
-def repaired_breakpoints(values, search_range) -> BreakpointSet:
+def _checked_repair(values, search_range) -> BreakpointSet:
     return BreakpointSet(points=repair_points(values, search_range), search_range=search_range)
+
+
+# About two stock generations of crossover children, most of which repeat
+# a recent tuple under rounding mutation.
+_repair_memo = functools.lru_cache(maxsize=256)(_checked_repair)
+
+
+def repaired_breakpoints(values, search_range) -> BreakpointSet:
+    """The checked BreakpointSet of repair_points(values, search_range).
+
+    Equal inputs share one (frozen) result from a bounded memo. The memo
+    compares floats by value, so inputs it cannot tell apart bit for bit
+    bypass it: a zero (0.0 == -0.0 under one hash), and a range that is
+    not the object the memoised result holds.
+    """
+    values = tuple(values)
+    if 0.0 in values:
+        return _checked_repair(values, search_range)
+    bps = _repair_memo(values, search_range)
+    return bps if bps.search_range is search_range else _checked_repair(values, search_range)
 
 
 @dataclass(frozen=True)
@@ -116,9 +136,10 @@ def reference_values(spec: NonLinSpec, x: np.ndarray, ref=None) -> np.ndarray:
 
 
 def segment_params(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes and intercepts of the pwl interpolating values at ascending nodes."""
+    """Slopes and intercepts of the pwl interpolating values at ascending nodes
+    (along the last axis, so a 2-D call gives one table per row)."""
     slopes = np.diff(values) / np.diff(nodes)
-    intercepts = values[:-1] - slopes * nodes[:-1]
+    intercepts = values[..., :-1] - slopes * nodes[..., :-1]
     return slopes, intercepts
 
 
@@ -189,23 +210,51 @@ class FitnessScorer:
         self.xs, self.count = fitness_grid(spec.search_range, FITNESS_STEP)
         self.fx = reference_values(spec, self.xs, ref)
 
-    def table_mse(self, points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> float:
-        err = eval_segments(points, slopes, intercepts, self.xs) - self.fx
-        return float(err @ err) / self.count
+    def table_mses(self, points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> list:
+        """Grid MSE of each row's table: (m, n) breakpoints, (m, n+1) slopes
+        and intercepts.
+
+        Grid point g lies in segment #{k : points[k] <= xs[g]}, which is
+        #{k : first[k] <= g} with first = the index of the first grid point
+        at or right of points[k]. Offsetting row r's first indices and grid
+        indices by r * (grid size + 1) orders all rows in one sorted array,
+        so one integer searchsorted selects every segment, with exact
+        compares. Each row's error is summed by its own 1-D dot product,
+        which fixes the fitness bits.
+        """
+        m, n = points.shape
+        size = len(self.xs)
+        rows = np.arange(m)[:, None]
+        offsets = rows * (size + 1)
+        first = np.searchsorted(self.xs, points, side="left") + offsets
+        # position r*n + s in first.ravel() is slope r*(n+1) + s
+        seg = np.searchsorted(first.ravel(), np.arange(size) + offsets, side="right") + rows
+        err = slopes.ravel()[seg] * self.xs + intercepts.ravel()[seg] - self.fx
+        return [float(e @ e) / self.count for e in err]
+
+    def scores(self, rows) -> list:
+        """Fitness of each equal-length breakpoint tuple in rows: the MSE of
+        the table interpolating the reference at its points and the range
+        ends, with one reference evaluation for all rows."""
+        nodes = np.empty((len(rows), len(rows[0]) + 2))
+        nodes[:, 0] = self.lo
+        nodes[:, 1:-1] = rows
+        nodes[:, -1] = self.hi
+        slopes, intercepts = segment_params(nodes, reference_values(self.spec, nodes, self.ref))
+        return self.table_mses(nodes[:, 1:-1], slopes, intercepts)
 
     def __call__(self, points) -> float:
-        """MSE of the table interpolating the reference at points and the range ends."""
-        nodes = np.empty(len(points) + 2)
-        nodes[0] = self.lo
-        nodes[1:-1] = points
-        nodes[-1] = self.hi
-        slopes, intercepts = segment_params(nodes, reference_values(self.spec, nodes, self.ref))
-        return self.table_mse(nodes[1:-1], slopes, intercepts)
+        return self.scores([points])[0]
 
 
-# Shared scorers: the grid and its reference values are built once per
-# (spec, ref).
-fitness_scorer = functools.lru_cache(maxsize=32)(FitnessScorer)
+# Called with both arguments always, so a spec has one key per ref.
+_shared_scorer = functools.lru_cache(maxsize=32)(FitnessScorer)
+
+
+def fitness_scorer(spec: NonLinSpec, ref=None) -> FitnessScorer:
+    """The shared scorer of (spec, ref): its grid and reference values are
+    built once, however the call is spelled."""
+    return _shared_scorer(spec, ref)
 
 
 def fitness_mse(table: PwlTable, ref=None) -> float:
@@ -214,10 +263,10 @@ def fitness_mse(table: PwlTable, ref=None) -> float:
     The sum of squared errors is divided by (hi - lo) / FITNESS_STEP,
     matching the optimizer's running-mean accumulation.
     """
-    return fitness_scorer(table.spec, ref).table_mse(
-        np.asarray(table.breakpoints.points), np.asarray(table.slopes),
-        np.asarray(table.intercepts),
-    )
+    return fitness_scorer(table.spec, ref).table_mses(
+        np.array([table.breakpoints.points]), np.array([table.slopes]),
+        np.array([table.intercepts]),
+    )[0]
 
 
 def fxp_round_table(table: PwlTable, frac_bits: int) -> PwlTable:

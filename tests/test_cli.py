@@ -30,6 +30,7 @@ from lutfit.evalbench import sweep_scales
 from lutfit.evolve import MutationKind
 from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import Kind, default_spec
+from lutfit import pwl
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
 
@@ -514,6 +515,16 @@ def test_main_fit_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
         assert "--jobs" in capsys.readouterr().err
     assert FakeExecutor.created == []
     assert not os.path.exists(out)
+
+
+def test_main_fit_builds_one_fitness_scorer(tmp_path):
+    # evolve's fitness_scorer(spec) and fitness_mse's fitness_scorer(spec, None)
+    # share one scorer, so the grid and its reference values are built once
+    pwl._shared_scorer.cache_clear()
+    assert main(["fit", "--function", "gelu", "--seeds", "0", "--iterations", "3",
+                 "--out", str(tmp_path)]) == 0
+    info = pwl._shared_scorer.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_cmd_fit_multi_seed_best_selection(tmp_path):

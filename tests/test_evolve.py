@@ -1,4 +1,3 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +23,7 @@ from lutfit.nonlin import Kind, default_spec
 from lutfit.pwl import (
     MIN_GAP,
     BreakpointSet,
+    FitnessScorer,
     GapError,
     derive_table,
     fitness_mse,
@@ -292,24 +292,17 @@ def test_short_ga_tracks_oracle_on_exp():
 def test_memo_scores_under_half_of_the_walk(monkeypatch):
     # rounding snaps and tournament copies make most individuals repeats, so
     # a working two-generation memo scores well under half of the walk
-    # the package rebinds lutfit.evolve to the function; this is the module
-    evolve_module = importlib.import_module("lutfit.evolve")
-    shared_scorer = evolve_module.fitness_scorer
-    calls = []
+    batch_scores = FitnessScorer.scores
+    rows = []
 
-    def counting_scorer(spec):
-        scorer = shared_scorer(spec)
+    def counting_scores(self, batch):
+        rows.extend(batch)
+        return batch_scores(self, batch)
 
-        def score(points):
-            calls.append(points)
-            return scorer(points)
-
-        return score
-
-    monkeypatch.setattr(evolve_module, "fitness_scorer", counting_scorer)
+    monkeypatch.setattr(FitnessScorer, "scores", counting_scores)
     cfg = replace(default_ga_config(Kind.GELU, 8), iterations=60)
     evolve(GELU, cfg, 0)
-    assert len(calls) < 0.5 * cfg.population_size * cfg.iterations
+    assert len(rows) < 0.5 * cfg.population_size * cfg.iterations
 
 
 # numpy references: the variation operators as first written, on arrays.

@@ -11,6 +11,7 @@ from lutfit.pwl import (
     MIN_GAP,
     BreakpointSet,
     GapError,
+    FitnessScorer,
     PwlTable,
     derive_table,
     eval_pwl,
@@ -18,6 +19,7 @@ from lutfit.pwl import (
     fitness_mse,
     fitness_scorer,
     fxp_round_table,
+    reference_values,
     repair_points,
     repaired_breakpoints,
 )
@@ -263,3 +265,76 @@ def test_repair_points_noop_on_valid_input(kind, weights):
     pts = np.array(pts[1:])
     assert pts[-1] < hi - MIN_GAP
     assert np.array_equal(repair_points(pts, (lo, hi)), pts)
+
+
+def test_repair_memo_keeps_signed_zero_bits():
+    # 0.0 == -0.0 and both hash alike, so a memo keyed by value would hand
+    # back the other zero
+    for first, second in (((0.0,), (-0.0,)), ((-0.0,), (0.0,))):
+        repaired_breakpoints(first, GELU.search_range)
+        out = repaired_breakpoints(second, GELU.search_range)
+        assert math.copysign(1.0, out.points[0]) == math.copysign(1.0, second[0])
+    for hi in (0.0, -0.0, 0.0):
+        out = repaired_breakpoints((-1.0,), (-8.0, hi))
+        assert math.copysign(1.0, out.search_range[1]) == math.copysign(1.0, hi)
+
+
+def test_repair_memo_shares_one_checked_result():
+    pts = (-1.5, 0.25, 2.0)
+    first = repaired_breakpoints(list(pts), GELU.search_range)
+    assert repaired_breakpoints(pts, GELU.search_range) is first
+    assert first.points == repair_points(pts, GELU.search_range)
+
+
+def cubic(x):
+    x = np.asarray(x, dtype=float)
+    return x * x * x - 2.0 * x
+
+
+def reference_table_mse(scorer, points, slopes, intercepts):
+    """One table's grid MSE as first written: a float searchsorted over the
+    grid and one 1-D dot product."""
+    idx = np.searchsorted(points, scorer.xs, side="right")
+    err = slopes[idx] * scorer.xs + intercepts[idx] - scorer.fx
+    return float(err @ err) / scorer.count
+
+
+def reference_score(scorer, points):
+    """One individual's fitness, scored the way the scorer first did it."""
+    nodes = np.empty(len(points) + 2)
+    nodes[0] = scorer.lo
+    nodes[1:-1] = points
+    nodes[-1] = scorer.hi
+    values = reference_values(scorer.spec, nodes, scorer.ref)
+    slopes = np.diff(values) / np.diff(nodes)
+    intercepts = values[:-1] - slopes * nodes[:-1]
+    return reference_table_mse(scorer, nodes[1:-1], slopes, intercepts)
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(Kind)), st.sampled_from([1, 7, 15]), st.integers(1, 60),
+    st.sampled_from([0.0, 0.3, 1.0]), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_batch_scores_match_per_row_reference(kind, n, m, on_grid, stub, seed):
+    # rows of ascending breakpoints drawn among the grid cells, a share of
+    # them exactly on grid points, where segment selection flips
+    scorer = FitnessScorer(default_spec(kind), cubic if stub else None)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(m):
+        cells = np.sort(rng.choice(np.arange(1, len(scorer.xs) - 1), size=n, replace=False))
+        offset = rng.uniform(0.0, 0.9, size=n) * (rng.random(n) >= on_grid)
+        rows.append(tuple((scorer.xs[cells] + offset * FITNESS_STEP).tolist()))
+    assert bits(scorer.scores(rows)) == bits([reference_score(scorer, row) for row in rows])
+    # segments that do not meet at their breakpoint show which one a grid
+    # point on a breakpoint selects
+    points = np.array(rows)
+    slopes, intercepts = rng.normal(size=(2, m, n + 1))
+    assert bits(scorer.table_mses(points, slopes, intercepts)) == bits(
+        [reference_table_mse(scorer, *row) for row in zip(points, slopes, intercepts)]
+    )
