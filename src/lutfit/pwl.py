@@ -222,9 +222,8 @@ class FitnessScorer:
         compares. Each row's error is summed by its own 1-D dot product,
         which fixes the fitness bits.
         """
-        m, n = points.shape
         size = len(self.xs)
-        rows = np.arange(m)[:, None]
+        rows = np.arange(len(points))[:, None]
         offsets = rows * (size + 1)
         first = np.searchsorted(self.xs, points, side="left") + offsets
         # position r*n + s in first.ravel() is slope r*(n+1) + s
@@ -244,6 +243,7 @@ class FitnessScorer:
         return self.table_mses(nodes[:, 1:-1], slopes, intercepts)
 
     def __call__(self, points) -> float:
+        """MSE of the table interpolating the reference at points and the range ends."""
         return self.scores([points])[0]
 
 

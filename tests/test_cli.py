@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lutfit import pwl
 from lutfit.artifacts import (
     Provenance,
     atomic_write,
@@ -30,7 +31,6 @@ from lutfit.evalbench import sweep_scales
 from lutfit.evolve import MutationKind
 from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import Kind, default_spec
-from lutfit import pwl
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
 
