@@ -15,7 +15,7 @@ from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
 from .fxp import MAX_ACC_BITS, DatapathConfig, fits, to_mantissa
 from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec
-from .pwl import MIN_GAP
+from .pwl import MIN_GAP, repair_points
 from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 
 SCHEMA_VERSION = 1
@@ -65,8 +65,14 @@ class RunConfig:
         for i, e in enumerate(self.scale_exponents):
             with naming(f"scale_exponents[{i}]"):
                 PowTwoScale(e)
+        if len(set(self.scale_exponents)) != len(self.scale_exponents):
+            raise ConfigError(f"invalid field scale_exponents: {list(self.scale_exponents)} "
+                              f"repeats an exponent")
         if not self.seeds:
             raise ConfigError("invalid field seeds: at least one seed required")
+        for i, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ConfigError(f"invalid field seeds[{i}]: seed must be >= 0, got {seed}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"invalid field seeds: {list(self.seeds)} repeats a seed")
         if self.plan is None and self.function not in SCALE_CARRYING:
@@ -299,6 +305,9 @@ def config_from_dict(data: dict) -> RunConfig:
         )
     with naming():
         spec = cfg.spec()
+    # the GA repairs every individual into the range at the minimum gap
+    with naming("search_range"):
+        repair_points([spec.search_range[0]] * ga.n_breakpoints, spec.search_range)
     # The GA places a breakpoint up to MIN_GAP below the range's top; a
     # wide-range breakpoint is a mantissa at lambda in the signed input.
     top = spec.search_range[1] - MIN_GAP

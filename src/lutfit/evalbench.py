@@ -15,7 +15,7 @@ from ._lazy import lazy_import
 from .fxp import DatapathConfig, int_bounds
 from .intsim import int_pwl
 from .nonlin import NonLinSpec, eval_ref
-from .pwl import FITNESS_STEP, PwlTable, fitness_grid, reference_values
+from .pwl import PwlTable, fitness_grid
 from .quant import (
     PowTwoScale,
     RangeScalingPlan,
@@ -63,12 +63,7 @@ def eval_range_q(spec: NonLinSpec, scale: PowTwoScale, bits: int) -> tuple[int, 
     return q_min, q_max
 
 
-def quant_aware_mse(
-    table: PwlTable,
-    scale: PowTwoScale,
-    datapath: DatapathConfig,
-    ref=None,
-) -> float:
+def quant_aware_mse(table: PwlTable, scale: PowTwoScale, datapath: DatapathConfig) -> float:
     """MSE of the integer datapath on the dequantized grid at one scale.
 
     Inputs are x = S*q for every datapath.input_bits-wide q whose
@@ -82,9 +77,7 @@ def quant_aware_mse(
     qtable = quantize_table(table, scale, datapath)
     q_min, q_max = eval_range_q(spec, scale, datapath.input_bits)
     q = np.arange(q_min, q_max + 1)
-    err = scale.value * int_pwl(q, qtable, datapath) - reference_values(
-        spec, dequantize(q, scale), ref
-    )
+    err = scale.value * int_pwl(q, qtable, datapath) - eval_ref(spec, dequantize(q, scale))
     return float(err @ err) / q.size
 
 
@@ -119,7 +112,7 @@ def wide_range_mse(
     if spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is scale-carrying; use sweep_scales")
     qtable = fxp_quantize_table(table, datapath)
-    xs = [fitness_grid(plan.inner_range, FITNESS_STEP)[0]]
+    xs = [fitness_grid(plan.inner_range)[0]]
     for sr in plan.sub_ranges:
         if math.isfinite(sr.hi):
             xs.append(sr.lo + (sr.hi - sr.lo) * np.arange(1024) / 1024)

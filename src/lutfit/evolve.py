@@ -97,32 +97,24 @@ def init_population(
 
 
 def crossover(
-    a: BreakpointSet,
-    b: BreakpointSet,
-    rng: np.random.Generator,
-    span: tuple[int, int] | None = None,
+    a: BreakpointSet, b: BreakpointSet, rng: np.random.Generator
 ) -> tuple[BreakpointSet, BreakpointSet]:
     """Exchange a contiguous index range between two parents.
 
-    span forces the swapped range (inclusive on both ends); by default both
-    endpoints are drawn uniformly. Children are re-sorted and repaired.
+    Both ends of the range (inclusive) are drawn uniformly. Children are
+    re-sorted and repaired.
     """
-    if len(a) != len(b):
-        raise ValueError(f"parents differ in size: {len(a)} vs {len(b)}")
+    pa, pb = a.points, b.points
+    n = len(pa)
+    if len(pb) != n:
+        raise ValueError(f"parents differ in size: {n} vs {len(pb)}")
     if a.search_range != b.search_range:
         raise ValueError("parents belong to different search ranges")
-    n = len(a)
-    if span is None:
-        # two scalar draws make the same bit-generator calls as one size=2
-        # draw, without its np.prod over the size
-        i, j = int(rng.integers(n)), int(rng.integers(n))
-        if j < i:
-            i, j = j, i
-    else:
-        i, j = span
-        if not 0 <= i <= j < n:
-            raise ValueError(f"invalid span {span} for size {n}")
-    pa, pb = a.points, b.points
+    # two scalar draws make the same bit-generator calls as one size=2
+    # draw, without its np.prod over the size
+    i, j = int(rng.integers(n)), int(rng.integers(n))
+    if j < i:
+        i, j = j, i
     child_a = pa[:i] + pb[i : j + 1] + pa[j + 1 :]
     child_b = pb[:i] + pa[i : j + 1] + pb[j + 1 :]
     return (
@@ -136,7 +128,7 @@ def gaussian_mutate(p: BreakpointSet, sigma: float, rng: np.random.Generator) ->
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     lo, hi = p.search_range
-    noise = rng.normal(0.0, sigma, size=len(p)).tolist()
+    noise = rng.normal(0.0, sigma, size=len(p.points)).tolist()
     noisy = [min(max(x + e, lo), hi) for x, e in zip(p.points, noise)]
     return repaired_breakpoints(noisy, p.search_range)
 
@@ -165,7 +157,7 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
     """
     out = list(p.points)
     lo, hi = p.search_range
-    draws = rng.random(len(p)).tolist()
+    draws = rng.random(len(out)).tolist()
     for idx, rand_p in enumerate(draws):
         i = _rm_exponent(rand_p, cfg.rm_prob, cfg.rm_range)
         if i is None:

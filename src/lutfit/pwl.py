@@ -49,9 +49,6 @@ class BreakpointSet:
         if pts[0] < lo or pts[-1] > hi:
             raise FieldError("breakpoints", f"breakpoints {pts} outside range ({lo}, {hi})")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...]:
     """Sort values and enforce the minimum spacing MIN_GAP inside the range.
@@ -118,21 +115,16 @@ class PwlTable:
 
     def __post_init__(self):
         n = len(self.slopes)
-        if len(self.intercepts) != n or len(self.breakpoints) != n - 1:
+        if len(self.intercepts) != n or len(self.breakpoints.points) != n - 1:
             raise FieldError(
                 "intercepts" if len(self.intercepts) != n else "breakpoints",
                 f"inconsistent table: {n} slopes, {len(self.intercepts)} intercepts, "
-                f"{len(self.breakpoints)} breakpoints"
+                f"{len(self.breakpoints.points)} breakpoints"
             )
 
     @property
     def entries(self) -> int:
         return len(self.slopes)
-
-
-def reference_values(spec: NonLinSpec, x: np.ndarray, ref=None) -> np.ndarray:
-    """The operator's exact values at x, or ref's when a stub target is given."""
-    return eval_ref(spec, x) if ref is None else np.asarray(ref(x), dtype=float)
 
 
 def segment_params(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,26 +145,25 @@ def eval_segments(points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
     return slopes[idx] * x + intercepts[idx]
 
 
-def derive_table(spec: NonLinSpec, bps: BreakpointSet, ref=None) -> PwlTable:
+def derive_table(spec: NonLinSpec, bps: BreakpointSet) -> PwlTable:
     """Table whose segments interpolate the reference exactly at the breakpoints.
 
     The boundary segments interpolate through the range endpoints, which act
     as virtual breakpoints, so the table is continuous on the whole range.
-    ref overrides the reference function (used by tests with stub targets).
     """
     lo, hi = spec.search_range
     if bps.search_range != spec.search_range:
         raise ValueError(
             f"breakpoint range {bps.search_range} does not match spec range {spec.search_range}"
         )
-    nodes = np.empty(len(bps) + 2)
+    nodes = np.empty(len(bps.points) + 2)
     nodes[0] = lo
     nodes[1:-1] = bps.points
     nodes[-1] = hi
     gaps = np.diff(nodes)
     if gaps.min() < MIN_GAP - 1e-12:
         raise GapError(f"segment narrower than {MIN_GAP}: gaps {gaps.tolist()}")
-    slopes, intercepts = segment_params(nodes, reference_values(spec, nodes, ref))
+    slopes, intercepts = segment_params(nodes, eval_ref(spec, nodes))
     return PwlTable(
         slopes=tuple(slopes.tolist()),
         intercepts=tuple(intercepts.tolist()),
@@ -190,25 +181,21 @@ def eval_pwl(table: PwlTable, x):
     return float(y) if np.isscalar(x) else y
 
 
-def fitness_grid(search_range: tuple[float, float], step: float) -> tuple[np.ndarray, int]:
-    """Evaluation grid from lo to hi inclusive; returns (points, interval count)."""
+def fitness_grid(search_range: tuple[float, float]) -> tuple[np.ndarray, int]:
+    """FITNESS_STEP grid from lo to hi inclusive; returns (points, interval count)."""
     lo, hi = search_range
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    count = int(math.floor((hi - lo) / FITNESS_STEP + 1e-9))
     return np.linspace(lo, hi, count + 1), count
 
 
 class FitnessScorer:
-    """Fitness-grid MSE against one operator; caches the grid and its reference values.
+    """Fitness-grid MSE against one operator; caches the grid and its reference values."""
 
-    ref overrides the reference function (used by tests with stub targets).
-    """
-
-    def __init__(self, spec: NonLinSpec, ref=None):
+    def __init__(self, spec: NonLinSpec):
         self.spec = spec
-        self.ref = ref
         self.lo, self.hi = spec.search_range
-        self.xs, self.count = fitness_grid(spec.search_range, FITNESS_STEP)
-        self.fx = reference_values(spec, self.xs, ref)
+        self.xs, self.count = fitness_grid(spec.search_range)
+        self.fx = eval_ref(spec, self.xs)
 
     def table_mses(self, points: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> list:
         """Grid MSE of each row's table: (m, n) breakpoints, (m, n+1) slopes
@@ -239,31 +226,23 @@ class FitnessScorer:
         nodes[:, 0] = self.lo
         nodes[:, 1:-1] = rows
         nodes[:, -1] = self.hi
-        slopes, intercepts = segment_params(nodes, reference_values(self.spec, nodes, self.ref))
+        slopes, intercepts = segment_params(nodes, eval_ref(self.spec, nodes))
         return self.table_mses(nodes[:, 1:-1], slopes, intercepts)
 
-    def __call__(self, points) -> float:
-        """MSE of the table interpolating the reference at points and the range ends."""
-        return self.scores([points])[0]
+
+@functools.lru_cache(maxsize=32)
+def fitness_scorer(spec: NonLinSpec) -> FitnessScorer:
+    """The shared scorer of spec: its grid and reference values are built once."""
+    return FitnessScorer(spec)
 
 
-# Called with both arguments always, so a spec has one key per ref.
-_shared_scorer = functools.lru_cache(maxsize=32)(FitnessScorer)
-
-
-def fitness_scorer(spec: NonLinSpec, ref=None) -> FitnessScorer:
-    """The shared scorer of (spec, ref): its grid and reference values are
-    built once, however the call is spelled."""
-    return _shared_scorer(spec, ref)
-
-
-def fitness_mse(table: PwlTable, ref=None) -> float:
+def fitness_mse(table: PwlTable) -> float:
     """Mean squared error of the table on its spec's FITNESS_STEP grid.
 
     The sum of squared errors is divided by (hi - lo) / FITNESS_STEP,
     matching the optimizer's running-mean accumulation.
     """
-    return fitness_scorer(table.spec, ref).table_mses(
+    return fitness_scorer(table.spec).table_mses(
         np.array([table.breakpoints.points]), np.array([table.slopes]),
         np.array([table.intercepts]),
     )[0]

@@ -10,22 +10,18 @@ import numpy as np
 
 from lutfit.fxp import int_bounds
 from lutfit.nonlin import NonLinSpec
-from lutfit.pwl import (
-    MIN_GAP,
-    BreakpointSet,
-    PwlTable,
-    derive_table,
-    fitness_grid,
-    fitness_scorer,
-)
+from lutfit.pwl import MIN_GAP, BreakpointSet, PwlTable, derive_table, fitness_scorer
 from lutfit.quant import QPwlTable, segment_index
+
+
+# Candidates scored per batch, which bounds the batch's grid-sized arrays.
+CHUNK = 1024
 
 
 def brute_force_oracle(
     spec: NonLinSpec,
     n_breakpoints: int,
     grid_step: float,
-    ref=None,
     budget: int = 100_000,
 ) -> PwlTable:
     """Exhaustively optimal table over grid-restricted breakpoint tuples.
@@ -39,26 +35,25 @@ def brute_force_oracle(
     if n_breakpoints > 2:
         raise ValueError(f"oracle supports n_breakpoints <= 2, got {n_breakpoints}")
     lo, hi = spec.search_range
-    grid, _ = fitness_grid(spec.search_range, grid_step)
+    count = int(math.floor((hi - lo) / grid_step + 1e-9))
+    grid = np.linspace(lo, hi, count + 1)
     n_combos = math.comb(grid.size, n_breakpoints)
     if n_combos > budget:
         raise ValueError(f"{n_combos} candidate tuples exceed the budget of {budget}")
 
-    scorer = fitness_scorer(spec, ref)
-    best_mse = math.inf
-    best_pts = None
-    for pts in combinations(grid.tolist(), n_breakpoints):
-        nodes = (lo, *pts, hi)
-        if min(b - a for a, b in zip(nodes, nodes[1:])) < MIN_GAP - 1e-12:
-            continue
-        mse = scorer(pts)
-        if mse < best_mse:
-            best_mse = mse
-            best_pts = pts
-    if best_pts is None:
+    candidates = [
+        pts for pts in combinations(grid.tolist(), n_breakpoints)
+        if min(b - a for a, b in zip((lo, *pts), (*pts, hi))) >= MIN_GAP - 1e-12
+    ]
+    if not candidates:
         raise ValueError("no valid breakpoint tuple on the grid")
-    bps = BreakpointSet(points=tuple(best_pts), search_range=spec.search_range)
-    return derive_table(spec, bps, ref=ref)
+    scorer = fitness_scorer(spec)
+    mses = [mse for k in range(0, len(candidates), CHUNK)
+            for mse in scorer.scores(candidates[k : k + CHUNK])]
+    # min keeps the first of equal scores
+    best = min(range(len(candidates)), key=mses.__getitem__)
+    bps = BreakpointSet(points=candidates[best], search_range=spec.search_range)
+    return derive_table(spec, bps)
 
 
 def breakpoint_deviation(table: PwlTable, qtable: QPwlTable, bits: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from lutfit.evalbench import quant_aware_mse, sweep_scales, wide_range_mse
 from lutfit.evolve import GaConfig, MutationKind, evolve, make_rng, rounding_mutate
 from lutfit.fxp import DatapathConfig
 from lutfit.intsim import int_pwl, segment_index
-from lutfit.nonlin import Kind, default_spec, eval_ref
+from lutfit.nonlin import Kind, NonLinSpec, default_spec, eval_ref
 from lutfit.pwl import (
     BreakpointSet,
     derive_table,
@@ -231,11 +231,11 @@ def test_criterion_5_integer_datapath_equivalence():
 def test_criterion_6_property_suite():
     results = []
 
-    # pwl exactness on linear functions
-    linear = lambda v: np.asarray(v, dtype=float)
+    # pwl exactness on linear functions: hswish(x) = x on (3, 8)
+    linear = NonLinSpec(Kind.HSWISH, (3.0, 8.0))
     spec = default_spec(Kind.GELU)
-    bps = BreakpointSet(points=(-1.5, 0.5, 2.0), search_range=spec.search_range)
-    lin_mse = fitness_mse(derive_table(spec, bps, ref=linear), ref=linear)
+    bps = BreakpointSet(points=(3.5, 5.0, 7.25), search_range=linear.search_range)
+    lin_mse = fitness_mse(derive_table(linear, bps))
     results.append(("linear exactness", lin_mse <= 1e-12, f"mse {lin_mse:.1e}"))
 
     # continuity at breakpoints of derived tables (fitted + random)

@@ -17,8 +17,17 @@ import lutfit
 from lutfit.artifacts import Provenance, render_c_header, render_memh, write_fit_artifact
 from lutfit.cli import build_parser, cmd_export, main
 from lutfit.config import config_from_dict
+from lutfit.evalbench import quant_aware_mse
+from lutfit.evolve import crossover
 from lutfit.nonlin import Kind, NonLinSpec, default_spec
-from lutfit.pwl import BreakpointSet, FitnessScorer, derive_table, fitness_mse, fxp_round_table
+from lutfit.pwl import (
+    BreakpointSet,
+    FitnessScorer,
+    derive_table,
+    fitness_grid,
+    fitness_mse,
+    fxp_round_table,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACED = os.path.join(PERFBENCH, "traced.py")
@@ -45,10 +54,18 @@ def test_table_functions_take_the_format_from_the_datapath():
 
 def test_no_argument_restates_what_its_owner_holds():
     # scale_carrying follows from the kind, the fitness step is FITNESS_STEP,
-    # a table carries its spec and a header is named after its artifact
+    # the target is the spec's operator, crossover draws its span, a table
+    # carries its spec and a header is named after its artifact
     assert [f.name for f in fields(NonLinSpec)] == ["kind", "search_range"]
-    assert list(inspect.signature(fitness_mse).parameters) == ["table", "ref"]
-    assert list(inspect.signature(FitnessScorer).parameters) == ["spec", "ref"]
+    for fn, params in (
+        (derive_table, ["spec", "bps"]),
+        (FitnessScorer, ["spec"]),
+        (fitness_mse, ["table"]),
+        (quant_aware_mse, ["table", "scale", "datapath"]),
+        (crossover, ["a", "b", "rng"]),
+        (fitness_grid, ["search_range"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
     assert "name" not in inspect.signature(cmd_export).parameters
     export = ["export", "--table", "t.fit.json", "--format", "header"]
     build_parser().parse_args(export)

@@ -140,10 +140,16 @@ MALFORMED_CONFIG = {
                     "invalid field datapath.acc_bits:"),
     "plan-exponent-5000": (_inline_plan(exponent=5000),
                            "invalid field plan.sub_ranges[0].exponent:"),
-    # one fit per seed, and at least one scale to sweep
+    # one fit per non-negative seed, and one sweep row per scale
     "seeds-repeated": ({"function": "gelu", "seeds": [0, 1, 0]}, "invalid field seeds:"),
+    "seeds-negative": ({"function": "gelu", "seeds": [0, -1]}, "invalid field seeds[1]:"),
     "scale_exponents-empty": ({"function": "gelu", "scale_exponents": []},
                               "invalid field scale_exponents:"),
+    "scale_exponents-repeated": ({"function": "gelu", "scale_exponents": [-3, -3, -1]},
+                                 "invalid field scale_exponents:"),
+    # the GA repairs every individual into the range at the minimum gap
+    "search_range-too-narrow": ({"function": "gelu", "search_range": [0, 0.1]},
+                                "invalid field search_range:"),
     # no setting is accepted and then ignored
     "scale_exponents-wide-range": ({"function": "div", "scale_exponents": [-3]},
                                    "invalid field scale_exponents:"),
@@ -518,12 +524,12 @@ def test_main_fit_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
 
 
 def test_main_fit_builds_one_fitness_scorer(tmp_path):
-    # evolve's fitness_scorer(spec) and fitness_mse's fitness_scorer(spec, None)
-    # share one scorer, so the grid and its reference values are built once
-    pwl._shared_scorer.cache_clear()
+    # evolve and fitness_mse share one scorer, so the grid and its reference
+    # values are built once
+    pwl.fitness_scorer.cache_clear()
     assert main(["fit", "--function", "gelu", "--seeds", "0", "--iterations", "3",
                  "--out", str(tmp_path)]) == 0
-    info = pwl._shared_scorer.cache_info()
+    info = pwl.fitness_scorer.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -831,8 +837,10 @@ def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
     for argv, field in (
         ([*fit, "--seeds", ","], "seeds"),
         ([*fit, "--seeds", "0,0"], "seeds"),
+        ([*fit, "--seeds=0,-1"], "seeds[1]"),
         ([*fit, "--iterations", "-1"], "ga.iterations"),
         (["eval", "--table", table_path, "--scales", ","], "scale_exponents"),
+        (["eval", "--table", table_path, "--scales=-3,-3,-1"], "scale_exponents"),
         # a wide-range eval sweeps no scales; rm under a zero rm_prob never snaps
         (["eval", "--table", div_path, "--scales=-3"], "scale_exponents"),
         (["fit", "--function", "div", "--mutation", "rm"], "ga.mutation_kind"),

@@ -12,7 +12,7 @@ from lutfit.evalbench import (
 )
 from lutfit.fxp import DatapathConfig
 from lutfit.intsim import int_pwl
-from lutfit.nonlin import Kind, default_spec, eval_ref
+from lutfit.nonlin import Kind, NonLinSpec, default_spec, eval_ref
 from lutfit.pwl import (
     BreakpointSet,
     derive_table,
@@ -28,10 +28,9 @@ from oracle import brute_force_oracle
 GELU = default_spec(Kind.GELU)
 EXP = default_spec(Kind.EXP)
 RSQRT = default_spec(Kind.RSQRT)
-
-
-def linear(values):
-    return np.asarray(values, dtype=float)
+# exact targets: hswish(x) is x on (3, 8) and zero on (-4, -3)
+LINEAR = NonLinSpec(Kind.HSWISH, (3.0, 8.0))
+ZERO = NonLinSpec(Kind.HSWISH, (-4.0, -3.0))
 
 
 def test_eval_range_restricted_to_fitted_range():
@@ -44,17 +43,13 @@ def test_eval_range_restricted_to_fitted_range():
     assert eval_range_q(GELU, PowTwoScale(-1022), 8) == (-128, 127)
 
 
-def test_quant_aware_mse_exact_on_representable_linear_stub():
-    # y = 0.5x + 0.25 has exactly representable lambda=5 parameters, so the
-    # integer path reproduces it and the MSE collapses to zero
-    bps = BreakpointSet(points=(0.0,), search_range=GELU.search_range)
-    table = fxp_round_table(derive_table(GELU, bps, ref=lambda x: 0.5 * linear(x) + 0.25), 5)
+def test_quant_aware_mse_exact_on_representable_linear_target():
+    # y = x has exactly representable lambda=5 parameters, so the integer
+    # path reproduces it and the MSE is zero
+    bps = BreakpointSet(points=(5.0,), search_range=LINEAR.search_range)
+    table = fxp_round_table(derive_table(LINEAR, bps), 5)
     for e in (-5, -2, 0):
-        mse = quant_aware_mse(
-            table, PowTwoScale(e), DatapathConfig(),
-            ref=lambda x: 0.5 * linear(x) + 0.25,
-        )
-        assert mse < 1e-28
+        assert quant_aware_mse(table, PowTwoScale(e), DatapathConfig()) == 0.0
 
 
 def test_quant_aware_mse_matches_naive_reimplementation():
@@ -137,10 +132,10 @@ def test_wide_range_mse_rejects_scale_carrying():
 
 
 def test_oracle_linear_target_ties_to_first():
-    table = brute_force_oracle(GELU, 1, 0.5, ref=linear)
+    table = brute_force_oracle(ZERO, 1, 0.25)
     # every candidate scores zero on a linear target; first wins the tie
-    assert fitness_mse(table, ref=linear) < 1e-12
-    assert table.breakpoints.points[0] == -4.0 + 0.5  # first valid grid point
+    assert fitness_mse(table) == 0.0
+    assert table.breakpoints.points == (-4.0 + 0.25,)  # first valid grid point
 
 
 def test_oracle_budget_refusal():

@@ -82,7 +82,19 @@ def test_init_population_deterministic():
 def test_init_population_single_breakpoint():
     cfg = GaConfig(n_breakpoints=1, population_size=4)
     pop = init_population(cfg, GELU, make_rng(0))
-    assert all(len(ind) == 1 for ind in pop)
+    assert all(len(ind.points) == 1 for ind in pop)
+
+
+class ScriptedRng:
+    """Stands in for the generator: integers(n) returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, n):
+        draw = self.draws.pop(0)
+        assert 0 <= draw < n
+        return draw
 
 
 def test_crossover_identical_parents():
@@ -94,14 +106,18 @@ def test_crossover_identical_parents():
 def test_crossover_full_span_exchanges_parents():
     a = bset([-3, 0, 3])
     b = bset([-2, 1, 2])
-    out_a, out_b = crossover(a, b, make_rng(0), span=(0, 2))
-    assert out_a == b and out_b == a
+    # the cuts are drawn in either order
+    for draws in ((0, 2), (2, 0)):
+        rng = ScriptedRng(*draws)
+        out_a, out_b = crossover(a, b, rng)
+        assert out_a == b and out_b == a
+        assert rng.draws == []
 
 
 def test_crossover_single_index_hand_trace():
     a = bset([-3, 0, 3])
     b = bset([-2, 1, 2])
-    out_a, out_b = crossover(a, b, make_rng(0), span=(1, 1))
+    out_a, out_b = crossover(a, b, ScriptedRng(1, 1))
     assert out_a.points == (-3.0, 1.0, 3.0)
     assert out_b.points == (-2.0, 0.0, 2.0)
 
@@ -109,10 +125,10 @@ def test_crossover_single_index_hand_trace():
 def test_crossover_all_spans_preserve_invariants():
     a = bset([-3, -1, 0.5, 2])
     b = bset([-2.5, -0.5, 1, 3])
-    n = len(a)
+    n = len(a.points)
     for i in range(n):
-        for j in range(i, n):
-            out_a, out_b = crossover(a, b, make_rng(0), span=(i, j))
+        for j in range(n):
+            out_a, out_b = crossover(a, b, ScriptedRng(i, j))
             for out in (out_a, out_b):
                 pts = np.asarray(out.points)
                 assert np.all(np.diff(pts) >= MIN_GAP - 1e-12)
@@ -120,6 +136,10 @@ def test_crossover_all_spans_preserve_invariants():
             # well-separated parents repair never fires
             merged = sorted(out_a.points + out_b.points)
             assert merged == sorted(a.points + b.points)
+            # the parents interleave, so each child is its exchange as it
+            # stands: indices min(i, j)..max(i, j) come from the other parent
+            lo, hi = min(i, j), max(i, j) + 1
+            assert out_a.points == a.points[:lo] + b.points[lo:hi] + a.points[hi:]
 
 
 def test_crossover_rejects_mismatched_parents():
@@ -331,7 +351,7 @@ def reference_repair_points(values, search_range, min_gap=MIN_GAP):
 
 
 def reference_crossover(a, b, rng):
-    n = len(a)
+    n = len(a.points)
     cuts = rng.integers(0, n, size=2)
     i, j = int(cuts.min()), int(cuts.max())
     pa = np.asarray(a.points)
@@ -347,7 +367,7 @@ def reference_crossover(a, b, rng):
 
 
 def reference_gaussian_mutate(p, sigma, spec, rng):
-    noisy = np.asarray(p.points) + rng.normal(0.0, sigma, size=len(p))
+    noisy = np.asarray(p.points) + rng.normal(0.0, sigma, size=len(p.points))
     np.clip(noisy, spec.search_range[0], spec.search_range[1], out=noisy)
     return reference_repair_points(noisy, p.search_range)
 
@@ -355,7 +375,7 @@ def reference_gaussian_mutate(p, sigma, spec, rng):
 def reference_rounding_mutate(p, cfg, rng):
     out = np.asarray(p.points).copy()
     lo, hi = p.search_range
-    draws = rng.random(len(p))
+    draws = rng.random(len(p.points))
     for idx, rand_p in enumerate(draws):
         i = _rm_exponent(float(rand_p), cfg.rm_prob, cfg.rm_range)
         if i is None:
