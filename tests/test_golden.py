@@ -14,6 +14,9 @@ library, so its last bits may differ between platforms.
 div and rsqrt have no rounding-mutation grid, so their stock fits use
 Gaussian mutation; the Gaussian pins add two scale-carrying operators, whose
 Gaussian fits clip against other range ends.
+
+Every fit artifact embeds its config_hash, so the stock configs' hashes are
+pinned on their own as well.
 """
 
 import hashlib
@@ -22,7 +25,7 @@ import os
 import pytest
 
 from lutfit.cli import cmd_fit
-from lutfit.config import config_from_dict
+from lutfit.config import config_from_dict, config_hash
 from lutfit.evolve import MutationKind
 
 GENERATIONS = 60
@@ -162,3 +165,24 @@ def test_full_length_sixteen_entry_fits_match_golden_digests(tmp_path, function,
         with open(path, "rb") as fh:
             digests.append(hashlib.sha256(fh.read()).hexdigest())
     assert tuple(digests) == FULL_LENGTH_GOLDEN[(function, entries)]
+
+
+# config_hash of the stock config of every (function, entries) pair.
+STOCK_CONFIG_HASH = {
+    ("gelu", 8): "473a7e06530fbdedf3bd3b733403c7e93532297c56ae41e70c42c246b3cdc3ef",
+    ("gelu", 16): "0ae2600e41a02d8340fab74cfbfef4e592f43d44c0aff79ff1ca65329c04918c",
+    ("hswish", 8): "4f763626e4d3fcaa6556f35116ee2e8bfab2e7bc488ae48b7c64f89fed85a8f5",
+    ("hswish", 16): "e03e4f02421fc1b7b8238010e40e0f3522024a74c5be068717f55e6fcf7a36bc",
+    ("exp", 8): "f12c3b0ec260f38a997d352220d3d8569f0d68981ea21704423684f3943f9812",
+    ("exp", 16): "6d37dc7c341a93bc3e0a41ed791f2f123b98c81aabb6f1eebf03ce33c022f815",
+    ("div", 8): "e87bebbe7473eae41e89de0f15c7cf2dce4a932d47d63092dc95c34089348bfd",
+    ("div", 16): "771e55aa87e087a75726e6e09175bffa4f16173afb6d0bbf23423c4f235667f9",
+    ("rsqrt", 8): "909e6bc98d6a3fea5394bfd5ae2ac6a11ce86888eeecd8268a6f701f46d65581",
+    ("rsqrt", 16): "1794c619a86501bd608fdb59173ba1d61f3cfff516d4f7c14162fcb8bbeaf4c9",
+}
+
+
+def test_stock_config_hashes_are_pinned():
+    hashes = {key: config_hash(config_from_dict({"function": key[0], "entries": key[1]}))
+              for key in STOCK_CONFIG_HASH}
+    assert hashes == STOCK_CONFIG_HASH
