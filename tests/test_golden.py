@@ -16,17 +16,22 @@ Gaussian mutation; the Gaussian pins add two scale-carrying operators, whose
 Gaussian fits clip against other range ends.
 
 Every fit artifact embeds its config_hash, so the stock configs' hashes are
-pinned on their own as well.
+pinned on their own as well, and so are the gated values of a stock int8
+eval of one fixed table per operator.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
 
-from lutfit.cli import cmd_fit
+from lutfit.artifacts import Provenance, write_fit_artifact
+from lutfit.cli import cmd_fit, main
 from lutfit.config import config_from_dict, config_hash
 from lutfit.evolve import MutationKind
+from lutfit.nonlin import default_spec
+from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 
 GENERATIONS = 60
 
@@ -186,3 +191,66 @@ def test_stock_config_hashes_are_pinned():
     hashes = {key: config_hash(config_from_dict({"function": key[0], "entries": key[1]}))
               for key in STOCK_CONFIG_HASH}
     assert hashes == STOCK_CONFIG_HASH
+
+
+# One fixed-breakpoint 8-entry table per operator, rounded to lambda = 5 and
+# evaluated by `lutfit eval` under its stock config: the int8 sweep over
+# 2^-6..2^-1 for scale-carrying operators, the stock plan for div and rsqrt.
+# The hswish and exp tables collapse breakpoints at the finest scales.
+EVAL_TABLES = {
+    "gelu": (-2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5),
+    "hswish": (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0),
+    "exp": (-6.0, -4.5, -3.25, -2.25, -1.5, -0.875, -0.375),
+    "div": (0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5),
+    "rsqrt": (0.375, 0.5, 0.75, 1.0, 1.5, 2.25, 3.0),
+}
+
+EVAL_GOLDEN = {
+    "gelu": {
+        "per_scale": {
+            "-1": 0.00029785802725213763,
+            "-2": 0.0003111950738466202,
+            "-3": 0.0003183792031246329,
+            "-4": 0.00032092174370273785,
+            "-5": 0.00032341439153516047,
+            "-6": 0.0005970861536855735,
+        },
+        "average_mse": 0.00036147576552447713,
+    },
+    "hswish": {
+        "per_scale": {
+            "-1": 0.000453176062091504,
+            "-2": 0.00045211226851851906,
+            "-3": 0.0004477998130341884,
+            "-4": 0.00044795914419143006,
+            "-5": 0.0004505945576561824,
+            "-6": 0.001004832486311594,
+        },
+        "average_mse": 0.0005427457219672364,
+    },
+    "exp": {
+        "per_scale": {
+            "-1": 0.00015770614828383475,
+            "-2": 8.773588303740444e-05,
+            "-3": 9.48121239216426e-05,
+            "-4": 9.655791012109672e-05,
+            "-5": 0.00016917268675582464,
+            "-6": 0.00014229798772854655,
+        },
+        "average_mse": 0.00012471378997472494,
+    },
+    "div": {"mse": 4.367182169817507e-05},
+    "rsqrt": {"mse": 2.4460180907995974e-05},
+}
+
+
+@pytest.mark.parametrize("function", sorted(EVAL_TABLES))
+def test_stock_eval_reports_are_pinned(tmp_path, function):
+    spec = default_spec(function)
+    table = derive_table(spec, BreakpointSet(EVAL_TABLES[function], spec.search_range))
+    path = str(tmp_path / f"{function}.fit.json")
+    write_fit_artifact(path, fxp_round_table(table, 5), Provenance("pinned", 0))
+    assert main(["eval", "--table", path, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{function}_report.json") as fh:
+        report = json.load(fh)
+    assert {key: report[key] for key in EVAL_GOLDEN[function]} == EVAL_GOLDEN[function]
