@@ -1,7 +1,6 @@
 """Command-line entry point: fit, eval and export subcommands."""
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -72,6 +71,8 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     write_fit_artifact(best_path, best_table, Provenance(chash, best_seed))
     written.append(best_path)
 
+    import csv  # here and in cmd_eval, so that export never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["seed", "generation", "best_mse"])
@@ -111,6 +112,8 @@ def cmd_eval(cfg: RunConfig, table_path: str, artifact=None) -> list[str]:
         "provenance": provenance.to_dict(),
     }
     if table.spec.scale_carrying:
+        import csv
+
         report = sweep_scales(table, cfg.scale_exponents, cfg.datapath)
         buf = io.StringIO()
         writer = csv.writer(buf)

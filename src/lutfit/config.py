@@ -5,7 +5,6 @@ tool writes embeds the sha256 hash of the canonical config encoding, so
 equal hashes imply byte-identical artifacts.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -348,8 +347,11 @@ def config_hash(cfg: RunConfig) -> str:
     """sha256 over the canonical config, minus the output section.
 
     The hash covers everything that determines artifact content, so runs of
-    one config into different directories stay byte-identical.
+    one config into different directories stay byte-identical. hashlib is
+    imported here, since only fit hashes a config and OpenSSL is slow to load.
     """
+    import hashlib
+
     data = config_to_dict(cfg)
     data.pop("output")
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -11,7 +11,6 @@ the fitted range are folded back into it by per-sub-range power-of-two
 scales with an output rescale of S' (div) or sqrt(S') (rsqrt).
 """
 
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -24,7 +23,14 @@ from .pwl import PwlTable, eval_segments
 
 np = lazy_import("numpy")
 
-logger = logging.getLogger(__name__)
+
+def _warn(msg: str, *args) -> None:
+    """A warning on the lutfit.quant logger. logging is imported here, when a
+    table collapses or saturates, so an export of a clean table never loads it."""
+    import logging
+
+    logging.getLogger(__name__).warning(msg, *args)
+
 
 # Scale exponents for which 2^e is an exact normal double.
 MIN_SCALE_EXP, MAX_SCALE_EXP = -1022, 1023
@@ -148,8 +154,8 @@ def _collapse(bps_q, slopes, intercepts, context: str):
     kept_segments = [0] + [bisect_right(bps_q, b) for b in kept_b]
     dropped = sorted(set(range(len(slopes))) - set(kept_segments))
     if dropped:
-        logger.warning("%s: collapsed %d duplicate quantized breakpoints (segments %s dropped)",
-                       context, len(dropped), dropped)
+        _warn("%s: collapsed %d duplicate quantized breakpoints (segments %s dropped)",
+              context, len(dropped), dropped)
     return (
         tuple(kept_b),
         tuple(slopes[i] for i in kept_segments),
@@ -227,8 +233,8 @@ def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfi
     intercepts = convert(table.intercepts, "intercept", datapath.param_bits)
     bps = convert(table.breakpoints.points, "breakpoint", bits)
     if saturated:
-        logger.warning("%s: saturated fields %s at %d-bit parameters, %d-bit breakpoints",
-                       table.spec.kind.value, saturated, datapath.param_bits, bits)
+        _warn("%s: saturated fields %s at %d-bit parameters, %d-bit breakpoints",
+              table.spec.kind.value, saturated, datapath.param_bits, bits)
     bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
         bps, slopes, intercepts, f"{table.spec.kind.value}@fxp{bits}.{frac_bits}"
     )

@@ -101,16 +101,18 @@ def test_traced_layers_resolve():
 
 
 # Runs each command of a JSON list through lutfit.cli.main and prints, after
-# each, the loaded modules the start-up test watches.
+# each, the loaded modules the start-up test watches: numpy's submodules,
+# multiprocessing, and the standard-library modules only some commands use.
 CHILD = """
 import json, sys
 from lutfit.cli import main
+watched = {"multiprocessing", "hashlib", "_hashlib", "logging", "csv"}
 loaded = []
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"{argv} failed")
     loaded.append(sorted(m for m in sys.modules
-                         if m.startswith("numpy.") or m.split(".")[0] == "multiprocessing"))
+                         if m.startswith("numpy.") or m.split(".")[0] in watched))
 print(json.dumps(loaded))
 """
 
@@ -126,8 +128,10 @@ def _tree(directory) -> dict:
 
 
 def test_fresh_interpreter_loads_numpy_only_for_numeric_commands(tmp_path, monkeypatch):
-    """Exports load no numpy, eval no numpy.random, and a fresh process
-    writes the bytes an in-process run writes."""
+    """Exports load no numpy, hashlib, logging or csv; an eval that
+    collapses no breakpoint loads no numpy.random, hashlib or logging; a fit
+    loads hashlib; and a fresh process writes the bytes an in-process run
+    writes."""
     exports = [
         ["export", "--table", f"{kind.value}.fit.json", "--format", fmt, "--out", "out",
          *(["--scale-exp", "-5"] if kind is Kind.GELU else [])]
@@ -159,10 +163,13 @@ def test_fresh_interpreter_loads_numpy_only_for_numeric_commands(tmp_path, monke
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded[len(exports) - 1] == []
+    assert loaded[:len(exports)] == [[]] * len(exports)
     after_eval = loaded[len(exports)]
-    assert "numpy._core" in after_eval and "numpy.random" not in after_eval
-    assert not any(m.startswith("multiprocessing") for m in after_eval)
+    assert "numpy._core" in after_eval and "csv" in after_eval
+    assert "numpy.random" not in after_eval
+    unused = {"hashlib", "_hashlib", "logging", "multiprocessing"}
+    assert unused.isdisjoint(m.split(".")[0] for m in after_eval), after_eval
+    assert "hashlib" in loaded[len(exports) + 1]
 
     monkeypatch.chdir(runs["in_process"])
     for argv in commands:
