@@ -85,12 +85,19 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
 
 def _read_table(cfg: RunConfig, table_path: str, artifact=None):
     """read_artifact (unless the artifact is given), checked against the
-    config's function."""
+    config's function and, where the config sets one, its search_range: eval
+    and export run on the artifact's range, so a config range that differs
+    would be ignored."""
     table, provenance = artifact or read_artifact(table_path)
     if table.spec.kind != cfg.function:
         raise ConfigError(
             f"artifact function {table.spec.kind.value} does not match config "
             f"function {cfg.function.value}"
+        )
+    if cfg.search_range is not None and cfg.search_range != table.spec.search_range:
+        raise ConfigError(
+            f"artifact search_range {list(table.spec.search_range)} does not match config "
+            f"search_range {list(cfg.search_range)}"
         )
     return table, provenance
 

@@ -922,6 +922,34 @@ def test_main_config_function_must_match_artifact(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_main_config_search_range_must_match_artifact(tmp_path, capsys):
+    # eval and export run on the artifact's range; a config range that
+    # differs exits 2, one that restates it changes nothing
+    table_path = str(tmp_path / "t.fit.json")
+    _write_fit(table_path, "gelu")
+    commands = (
+        ["eval", "--table", table_path],
+        ["export", "--table", table_path, "--format", "memh", "--scale-exp", "-5"],
+    )
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "gelu", "search_range": [-1.0, 1.0]}))
+    out = str(tmp_path / "out")
+    for argv in commands:
+        assert main([*argv, "--config", str(cfg_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert ("artifact search_range [-4.0, 4.0] does not match config "
+                "search_range [-1.0, 1.0]") in err, err
+    assert not os.path.exists(out)
+    cfg_path.write_text(json.dumps({"function": "gelu", "search_range": [-4, 4]}))
+    for argv in commands:
+        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "restated")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    restated, plain = tmp_path / "restated", tmp_path / "plain"
+    assert sorted(p.name for p in restated.iterdir()) == sorted(p.name for p in plain.iterdir())
+    for path in restated.iterdir():
+        assert path.read_bytes() == (plain / path.name).read_bytes(), path.name
+
+
 def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
     table_path = str(tmp_path / "t.fit.json")
     _write_fit(table_path, "gelu")
