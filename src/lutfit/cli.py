@@ -272,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # lutfit's only BLAS calls are 1-D dot products, and OpenBLAS splits one
+    # of more than 10,000 elements across threads, which moves the last bits
+    # of an MSE with the core count. OpenBLAS reads the thread count when
+    # numpy first loads, which no command does before this point; an
+    # inherited value is overridden, since any other count brings the
+    # dependence back.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

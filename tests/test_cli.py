@@ -3,6 +3,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from lutfit.config import (
     default_ga_config,
     load_config,
 )
-from lutfit.evalbench import sweep_scales
+from lutfit.evalbench import eval_range_q, sweep_scales
 from lutfit.evolve import MutationKind
 from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import Kind, default_spec
@@ -948,6 +950,34 @@ def test_main_config_search_range_must_match_artifact(tmp_path, capsys):
     assert sorted(p.name for p in restated.iterdir()) == sorted(p.name for p in plain.iterdir())
     for path in restated.iterdir():
         assert path.read_bytes() == (plain / path.name).read_bytes(), path.name
+
+
+def test_main_eval_is_independent_of_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 elements across
+    # threads, which moves the last bits of the sum; main runs BLAS on one
+    # thread, so an int16 eval writes the same bytes under any inherited count
+    table_path = str(tmp_path / "t.fit.json")
+    _write_fit(table_path, "gelu")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "gelu", "datapath": {"input_bits": 16},
+                                    "scale_exponents": [-12, -11]}))
+    for e in (-12, -11):
+        q_min, q_max = eval_range_q(GELU, PowTwoScale(e), 16)
+        assert q_max - q_min + 1 > 10_000
+    src = os.path.dirname(os.path.dirname(pwl.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lutfit.cli", "eval", "--table", table_path,
+             "--config", str(cfg_path), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["t_report.json", "t_scales.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_main_export_qtable_frac_bits_must_match_config(tmp_path, capsys):
