@@ -272,12 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # lutfit's only BLAS calls are 1-D dot products, and OpenBLAS splits one
-    # of more than 10,000 elements across threads, which moves the last bits
-    # of an MSE with the core count. OpenBLAS reads the thread count when
-    # numpy first loads, which no command does before this point; an
-    # inherited value is overridden, since any other count brings the
-    # dependence back.
+    # One BLAS thread: OpenBLAS splits a dot product of more than 10,000
+    # elements across threads, which moves the last bits of an MSE with the
+    # core count. It reads the count when numpy first loads, which no command
+    # has done yet; an inherited count other than 1 would bring the
+    # dependence back, so it is overridden.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
