@@ -14,19 +14,27 @@ from dataclasses import fields
 import pytest
 
 import lutfit
-from lutfit.artifacts import Provenance, render_c_header, render_memh, write_fit_artifact
+from lutfit.artifacts import (
+    Provenance,
+    read_artifact,
+    render_c_header,
+    render_memh,
+    write_fit_artifact,
+)
 from lutfit.cli import build_parser, cmd_export, main
 from lutfit.config import config_from_dict
 from lutfit.evalbench import quant_aware_mse
-from lutfit.evolve import crossover
+from lutfit.evolve import GaConfig, crossover, make_rng, rounding_mutate
 from lutfit.nonlin import Kind, NonLinSpec, default_spec
 from lutfit.pwl import (
     BreakpointSet,
     FitnessScorer,
+    PwlTable,
     derive_table,
     fitness_grid,
     fitness_mse,
     fxp_round_table,
+    repaired_breakpoints,
 )
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -98,6 +106,46 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(f"lutfit.{module}"), fn, None))
     ]
     assert not missing, missing
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["export-int8", "eval-int16"])
+def test_benchmark_generated_tables_load(name, tmp_path):
+    # geninputs.py hands repaired_breakpoints(...) straight to derive_table
+    # and writes the result; each table it writes must read back.
+    workloads, geninputs = _perfbench_module("workloads"), _perfbench_module("geninputs")
+    workload = workloads.build(name, 0)
+    plan = {"tables": workload.tables, "configs": workload.configs,
+            "frac_bits": workloads.FRAC_BITS, "label": f"perfbench-{name}", "seed": 0}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    assert geninputs.main(str(plan_path), str(tmp_path / "inputs")) == 0
+    assert workload.tables
+    for file_name in workload.tables:
+        table, _ = read_artifact(str(tmp_path / "inputs" / file_name))
+        assert isinstance(table, PwlTable), file_name
+
+
+def test_traced_rounding_mutate_counter_counts():
+    # The tracer drops a count whose counter raises, so a counter that no
+    # longer reads rounding_mutate's values would report a silent zero.
+    traced = _perfbench_module("traced")
+    tracer = traced.Tracer(0)
+    wrapped = tracer.wrap(0, rounding_mutate, traced.COUNTERS["evolve.rounding_mutate"])
+    spec = default_spec(Kind.GELU)
+    parent = repaired_breakpoints((-2.3, 0.6, 1.37), spec.search_range)
+    # every draw selects the 2^0 or the 2^-1 grid, and none of the points is on either
+    cfg = GaConfig(n_breakpoints=3, rm_prob=0.5, rm_range=(0, 1))
+    child = wrapped(parent, cfg, make_rng(0))
+    assert child.points != parent.points
+    assert tracer.counters["evolve.rounding_mutate.changed"] == 1
 
 
 # Runs each command of a JSON list through lutfit.cli.main and prints, after
