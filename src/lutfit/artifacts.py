@@ -20,7 +20,7 @@ from . import __version__
 from ._fields import NULL, NUMBER, ConfigError, json_field, naming
 from .fxp import DatapathConfig
 from .nonlin import Kind, NonLinSpec
-from .pwl import BreakpointSet, PwlTable
+from .pwl import PwlTable
 from .quant import PowTwoScale, QPwlTable, check_format
 
 SCHEMA_VERSION = 1
@@ -83,7 +83,7 @@ def fit_artifact_text(table: PwlTable, provenance: Provenance) -> str:
         "function": _spec_to_dict(table.spec),
         "slopes": list(table.slopes),
         "intercepts": list(table.intercepts),
-        "breakpoints": list(table.breakpoints.points),
+        "breakpoints": list(table.breakpoints),
         "provenance": provenance.to_dict(),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -151,10 +151,7 @@ def read_artifact(path: str):
             table = PwlTable(
                 slopes=tuple(json_field(data, "slopes", list, items=NUMBER)),
                 intercepts=tuple(json_field(data, "intercepts", list, items=NUMBER)),
-                breakpoints=BreakpointSet(
-                    points=tuple(json_field(data, "breakpoints", list, items=NUMBER)),
-                    search_range=spec.search_range,
-                ),
+                breakpoints=tuple(json_field(data, "breakpoints", list, items=NUMBER)),
                 spec=spec,
             )
         return table, provenance

@@ -91,13 +91,13 @@ def init_population(
     cfg: GaConfig, spec: NonLinSpec, rng: np.random.Generator
 ) -> list[BreakpointSet]:
     """Uniform random breakpoint sets, sorted and spacing-repaired."""
-    lo, hi = spec.search_range
-    draws = rng.uniform(lo, hi, size=(cfg.population_size, cfg.n_breakpoints))
+    draws = rng.uniform(*spec.search_range, size=(cfg.population_size, cfg.n_breakpoints))
     return [repaired_breakpoints(row, spec.search_range) for row in draws.tolist()]
 
 
 def crossover(
-    a: BreakpointSet, b: BreakpointSet, rng: np.random.Generator
+    a: BreakpointSet, b: BreakpointSet, search_range: tuple[float, float],
+    rng: np.random.Generator,
 ) -> tuple[BreakpointSet, BreakpointSet]:
     """Exchange a contiguous index range between two parents.
 
@@ -108,8 +108,6 @@ def crossover(
     n = len(pa)
     if len(pb) != n:
         raise ValueError(f"parents differ in size: {n} vs {len(pb)}")
-    if a.search_range != b.search_range:
-        raise ValueError("parents belong to different search ranges")
     # two scalar draws make the same bit-generator calls as one size=2
     # draw, without its np.prod over the size
     i, j = int(rng.integers(n)), int(rng.integers(n))
@@ -118,19 +116,21 @@ def crossover(
     child_a = pa[:i] + pb[i : j + 1] + pa[j + 1 :]
     child_b = pb[:i] + pa[i : j + 1] + pb[j + 1 :]
     return (
-        repaired_breakpoints(child_a, a.search_range),
-        repaired_breakpoints(child_b, b.search_range),
+        repaired_breakpoints(child_a, search_range),
+        repaired_breakpoints(child_b, search_range),
     )
 
 
-def gaussian_mutate(p: BreakpointSet, sigma: float, rng: np.random.Generator) -> BreakpointSet:
+def gaussian_mutate(
+    p: BreakpointSet, sigma: float, search_range: tuple[float, float], rng: np.random.Generator
+) -> BreakpointSet:
     """Perturb every breakpoint with N(0, sigma^2), clip to the range, repair."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lo, hi = p.search_range
+    lo, hi = search_range
     noise = rng.normal(0.0, sigma, size=len(p.points)).tolist()
     noisy = [min(max(x + e, lo), hi) for x, e in zip(p.points, noise)]
-    return repaired_breakpoints(noisy, p.search_range)
+    return repaired_breakpoints(noisy, search_range)
 
 
 def _rm_exponent(rand_p: float, rm_prob: float, rm_range: tuple[int, int]) -> int | None:
@@ -146,7 +146,9 @@ def _rm_exponent(rand_p: float, rm_prob: float, rm_range: tuple[int, int]) -> in
     return i if ma <= i <= mb else None
 
 
-def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -> BreakpointSet:
+def rounding_mutate(
+    p: BreakpointSet, cfg: GaConfig, search_range: tuple[float, float], rng: np.random.Generator
+) -> BreakpointSet:
     """Snap randomly chosen breakpoints onto 2^-i grids, i in rm_range.
 
     Elements whose draw selects no grid pass through unchanged. A snap that
@@ -156,7 +158,7 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
     The result is re-sorted and spacing-repaired as a final guard.
     """
     out = list(p.points)
-    lo, hi = p.search_range
+    lo, hi = search_range
     draws = rng.random(len(out)).tolist()
     for idx, rand_p in enumerate(draws):
         i = _rm_exponent(rand_p, cfg.rm_prob, cfg.rm_range)
@@ -168,7 +170,7 @@ def rounding_mutate(p: BreakpointSet, cfg: GaConfig, rng: np.random.Generator) -
         if any([abs(v - snapped) < MIN_GAP for v in out[:idx] + out[idx + 1 :]]):
             continue
         out[idx] = snapped
-    return repaired_breakpoints(out, p.search_range)
+    return repaired_breakpoints(out, search_range)
 
 
 def _tournament_picks(fitnesses, rng: np.random.Generator) -> list[int]:
@@ -222,10 +224,8 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) 
     rng = make_rng(seed)
     inds = init_population(cfg, spec, rng)
     scorer = fitness_scorer(spec)
-    sigma = cfg.gaussian_sigma
-    if sigma is None:
-        lo, hi = spec.search_range
-        sigma = 0.05 * (hi - lo)
+    lo, hi = search_range = spec.search_range
+    sigma = 0.05 * (hi - lo) if cfg.gaussian_sigma is None else cfg.gaussian_sigma
     n = cfg.population_size
     walked = [None] * n
     scores = {}
@@ -239,12 +239,12 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) 
                 j = int(rng.integers(n - 1))
                 if j >= i:
                     j += 1
-                inds[i], inds[j] = crossover(inds[i], inds[j], rng)
+                inds[i], inds[j] = crossover(inds[i], inds[j], search_range, rng)
             if rand_m < cfg.mutate_prob:
                 if cfg.mutation_kind is MutationKind.GAUSSIAN:
-                    inds[i] = gaussian_mutate(inds[i], sigma, rng)
+                    inds[i] = gaussian_mutate(inds[i], sigma, search_range, rng)
                 else:
-                    inds[i] = rounding_mutate(inds[i], cfg, rng)
+                    inds[i] = rounding_mutate(inds[i], cfg, search_range, rng)
         fitness, scores = _score_walk(scorer, walked, scores)
         if log is not None:
             log.append((gen, min(fitness)))

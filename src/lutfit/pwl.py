@@ -33,21 +33,9 @@ class GapError(ValueError):
 
 @dataclass(frozen=True)
 class BreakpointSet:
-    """Strictly ascending breakpoints inside a search range (the breakpoints
-    field of a table's JSON form)."""
+    """One GA individual: the strictly ascending points repair_points returns."""
 
     points: tuple[float, ...]
-    search_range: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.search_range
-        pts = self.points
-        if not pts:
-            raise FieldError("breakpoints", "at least one breakpoint required")
-        if any(map(operator.ge, pts, pts[1:])):
-            raise FieldError("breakpoints", f"breakpoints must be strictly ascending: {pts}")
-        if pts[0] < lo or pts[-1] > hi:
-            raise FieldError("breakpoints", f"breakpoints {pts} outside range ({lo}, {hi})")
 
 
 def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...]:
@@ -80,46 +68,53 @@ def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...
     return tuple(pts)
 
 
-def _checked_repair(values, search_range) -> BreakpointSet:
-    return BreakpointSet(points=repair_points(values, search_range), search_range=search_range)
-
-
 # About two stock generations of crossover children, most of which repeat
 # a recent tuple under rounding mutation.
-_repair_memo = functools.lru_cache(maxsize=256)(_checked_repair)
+@functools.lru_cache(maxsize=256)
+def _repair_memo(values, search_range) -> BreakpointSet:
+    return BreakpointSet(repair_points(values, search_range))
 
 
 def repaired_breakpoints(values, search_range) -> BreakpointSet:
-    """The checked BreakpointSet of repair_points(values, search_range).
+    """The BreakpointSet of repair_points(values, search_range).
 
     Equal inputs share one (frozen) result from a bounded memo. The memo
-    compares floats by value, so inputs it cannot tell apart bit for bit
-    bypass it: a zero (0.0 == -0.0 under one hash), and a range that is
-    not the object the memoised result holds.
+    compares floats by value, and 0.0 == -0.0 under one hash, so values
+    holding a zero bypass it. Ranges that compare equal (4 and 4.0, 0.0 and
+    -0.0) give the same points bit for bit: a point is an input value, or a
+    range end or a neighbour moved by MIN_GAP.
     """
     values = tuple(values)
     if 0.0 in values:
-        return _checked_repair(values, search_range)
-    bps = _repair_memo(values, search_range)
-    return bps if bps.search_range is search_range else _checked_repair(values, search_range)
+        return BreakpointSet(repair_points(values, search_range))
+    return _repair_memo(values, search_range)
 
 
 @dataclass(frozen=True)
 class PwlTable:
-    """Slopes/intercepts of an N-entry pwl plus its N-1 breakpoints."""
+    """Slopes/intercepts of an N-entry pwl plus its N-1 breakpoints, which
+    are strictly ascending inside the spec's search range."""
 
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
-    breakpoints: BreakpointSet
+    breakpoints: tuple[float, ...]
     spec: NonLinSpec
 
     def __post_init__(self):
+        lo, hi = self.spec.search_range
+        pts = self.breakpoints
+        if not pts:
+            raise FieldError("breakpoints", "at least one breakpoint required")
+        if any(map(operator.ge, pts, pts[1:])):
+            raise FieldError("breakpoints", f"breakpoints must be strictly ascending: {pts}")
+        if pts[0] < lo or pts[-1] > hi:
+            raise FieldError("breakpoints", f"breakpoints {pts} outside range ({lo}, {hi})")
         n = len(self.slopes)
-        if len(self.intercepts) != n or len(self.breakpoints.points) != n - 1:
+        if len(self.intercepts) != n or len(pts) != n - 1:
             raise FieldError(
                 "intercepts" if len(self.intercepts) != n else "breakpoints",
                 f"inconsistent table: {n} slopes, {len(self.intercepts)} intercepts, "
-                f"{len(self.breakpoints.points)} breakpoints"
+                f"{len(pts)} breakpoints"
             )
 
     @property
@@ -152,14 +147,7 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet) -> PwlTable:
     as virtual breakpoints, so the table is continuous on the whole range.
     """
     lo, hi = spec.search_range
-    if bps.search_range != spec.search_range:
-        raise ValueError(
-            f"breakpoint range {bps.search_range} does not match spec range {spec.search_range}"
-        )
-    nodes = np.empty(len(bps.points) + 2)
-    nodes[0] = lo
-    nodes[1:-1] = bps.points
-    nodes[-1] = hi
+    nodes = np.array((lo, *bps.points, hi), dtype=float)
     gaps = np.diff(nodes)
     if gaps.min() < MIN_GAP - 1e-12:
         raise GapError(f"segment narrower than {MIN_GAP}: gaps {gaps.tolist()}")
@@ -167,7 +155,7 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet) -> PwlTable:
     return PwlTable(
         slopes=tuple(slopes.tolist()),
         intercepts=tuple(intercepts.tolist()),
-        breakpoints=bps,
+        breakpoints=bps.points,
         spec=spec,
     )
 
@@ -175,7 +163,7 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet) -> PwlTable:
 def eval_pwl(table: PwlTable, x):
     """Evaluate the table at x (scalar or ndarray); tails extrapolate."""
     y = eval_segments(
-        np.asarray(table.breakpoints.points), np.asarray(table.slopes),
+        np.asarray(table.breakpoints), np.asarray(table.slopes),
         np.asarray(table.intercepts), x,
     )
     return float(y) if np.isscalar(x) else y
@@ -243,7 +231,7 @@ def fitness_mse(table: PwlTable) -> float:
     matching the optimizer's running-mean accumulation.
     """
     return fitness_scorer(table.spec).table_mses(
-        np.array([table.breakpoints.points]), np.array([table.slopes]),
+        np.array([table.breakpoints]), np.array([table.slopes]),
         np.array([table.intercepts]),
     )[0]
 
@@ -258,7 +246,7 @@ def fxp_round_table(table: PwlTable, frac_bits: int) -> PwlTable:
     midpoint anchor is the least-squares-optimal compensation.
     """
     lo, hi = table.spec.search_range
-    nodes = (lo,) + table.breakpoints.points + (hi,)
+    nodes = (lo,) + table.breakpoints + (hi,)
     slopes_q = []
     intercepts_q = []
     for i, (k, b) in enumerate(zip(table.slopes, table.intercepts)):

@@ -190,7 +190,7 @@ def quantize_table(
     if not table.spec.scale_carrying:
         raise ValueError(f"{table.spec.kind.value} is wide-range; use fxp_quantize_table")
     frac_bits = datapath.frac_bits
-    bps_q = [quantize(p, scale, datapath.input_bits) for p in table.breakpoints.points]
+    bps_q = [quantize(p, scale, datapath.input_bits) for p in table.breakpoints]
     slopes = _mantissas(table.slopes, frac_bits, "slopes")
     intercepts = _mantissas(table.intercepts, frac_bits, "intercepts")
     bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
@@ -231,7 +231,7 @@ def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfi
 
     slopes = convert(table.slopes, "slope", datapath.param_bits)
     intercepts = convert(table.intercepts, "intercept", datapath.param_bits)
-    bps = convert(table.breakpoints.points, "breakpoint", bits)
+    bps = convert(table.breakpoints, "breakpoint", bits)
     if saturated:
         _warn("%s: saturated fields %s at %d-bit parameters, %d-bit breakpoints",
               table.spec.kind.value, saturated, datapath.param_bits, bits)

@@ -52,7 +52,7 @@ def brute_force_oracle(
             for mse in scorer.scores(candidates[k : k + CHUNK])]
     # min keeps the first of equal scores
     best = min(range(len(candidates)), key=mses.__getitem__)
-    bps = BreakpointSet(points=candidates[best], search_range=spec.search_range)
+    bps = BreakpointSet(points=candidates[best])
     return derive_table(spec, bps)
 
 
@@ -67,7 +67,7 @@ def breakpoint_deviation(table: PwlTable, qtable: QPwlTable, bits: int) -> tuple
     if qtable.scale is None:
         raise ValueError("deviation analysis requires a scale-carrying table")
     s = qtable.scale.value
-    fpts = np.asarray(table.breakpoints.points)
+    fpts = np.asarray(table.breakpoints)
     segments = np.asarray(qtable.source_segments or tuple(range(qtable.entries)))
     q_lo, q_hi = int_bounds(bits)
     q_values = np.arange(q_lo, q_hi + 1)

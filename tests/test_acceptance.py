@@ -79,7 +79,7 @@ _fit_seconds: dict = {}
 
 def float_segment_index(table, x: np.ndarray) -> np.ndarray:
     """Segment the real-valued table selects for each input x."""
-    return np.searchsorted(np.asarray(table.breakpoints.points), x, side="right")
+    return np.searchsorted(np.asarray(table.breakpoints), x, side="right")
 
 
 def get_fit(kind, entries=8, seed=0, mutation=None, n_breakpoints=None):
@@ -183,7 +183,7 @@ def test_criterion_4_oracle_dominance():
         ratios = []
         for seed in SEEDS:
             table = get_fit(Kind.EXP, 8, seed, mutation=MutationKind.GAUSSIAN, n_breakpoints=nb)
-            float_table = derive_table(spec, table.breakpoints)
+            float_table = derive_table(spec, BreakpointSet(table.breakpoints))
             ratios.append(fitness_mse(float_table) / oracle_mse)
         med = statistics.median(ratios)
         ok = med <= 1.05 and oracle_seconds < 30.0
@@ -234,19 +234,19 @@ def test_criterion_6_property_suite():
     # pwl exactness on linear functions: hswish(x) = x on (3, 8)
     linear = NonLinSpec(Kind.HSWISH, (3.0, 8.0))
     spec = default_spec(Kind.GELU)
-    bps = BreakpointSet(points=(3.5, 5.0, 7.25), search_range=linear.search_range)
+    bps = BreakpointSet(points=(3.5, 5.0, 7.25))
     lin_mse = fitness_mse(derive_table(linear, bps))
     results.append(("linear exactness", lin_mse <= 1e-12, f"mse {lin_mse:.1e}"))
 
     # continuity at breakpoints of derived tables (fitted + random)
     worst_gap = 0.0
     rng = np.random.default_rng(5)
-    tables = [derive_table(spec, get_fit(Kind.GELU, 8, s).breakpoints) for s in SEEDS]
+    tables = [derive_table(spec, BreakpointSet(get_fit(Kind.GELU, 8, s).breakpoints)) for s in SEEDS]
     for _ in range(10):
         pts = repaired_breakpoints(rng.uniform(-4, 4, size=7), spec.search_range)
         tables.append(derive_table(spec, pts))
     for table in tables:
-        for i, p in enumerate(table.breakpoints.points):
+        for i, p in enumerate(table.breakpoints):
             gap = abs(
                 table.slopes[i] * p + table.intercepts[i]
                 - table.slopes[i + 1] * p - table.intercepts[i + 1]
@@ -301,7 +301,7 @@ def test_criterion_6_property_suite():
     cfg0 = GaConfig(n_breakpoints=7, rm_prob=0.0)
     pts = repaired_breakpoints(rng.uniform(-4, 4, size=7), spec.search_range)
     ok_noop = all(
-        rounding_mutate(pts, cfg0, make_rng(s)) == pts for s in range(10)
+        rounding_mutate(pts, cfg0, spec.search_range, make_rng(s)) == pts for s in range(10)
     )
     results.append(("zero-probability mutation no-op", ok_noop, "identity"))
 

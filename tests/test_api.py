@@ -70,7 +70,7 @@ def test_no_argument_restates_what_its_owner_holds():
         (FitnessScorer, ["spec"]),
         (fitness_mse, ["table"]),
         (quant_aware_mse, ["table", "scale", "datapath"]),
-        (crossover, ["a", "b", "rng"]),
+        (crossover, ["a", "b", "search_range", "rng"]),
         (fitness_grid, ["search_range"]),
     ):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
@@ -143,7 +143,7 @@ def test_traced_rounding_mutate_counter_counts():
     parent = repaired_breakpoints((-2.3, 0.6, 1.37), spec.search_range)
     # every draw selects the 2^0 or the 2^-1 grid, and none of the points is on either
     cfg = GaConfig(n_breakpoints=3, rm_prob=0.5, rm_range=(0, 1))
-    child = wrapped(parent, cfg, make_rng(0))
+    child = wrapped(parent, cfg, spec.search_range, make_rng(0))
     assert child.points != parent.points
     assert tracer.counters["evolve.rounding_mutate.changed"] == 1
 
@@ -200,7 +200,7 @@ def test_fresh_interpreter_loads_numpy_only_for_numeric_commands(tmp_path, monke
         directory.mkdir()
         for kind, points in FIT_POINTS.items():
             spec = default_spec(kind)
-            table = derive_table(spec, BreakpointSet(points, spec.search_range))
+            table = derive_table(spec, BreakpointSet(points))
             write_fit_artifact(str(directory / f"{kind.value}.fit.json"),
                                fxp_round_table(table, 5), Provenance("abc", 0))
         runs[side] = directory

@@ -54,7 +54,7 @@ def _signed_field(word: int, shift: int, bits: int) -> int:
 
 
 def sample_qtable():
-    bps = BreakpointSet(points=(-2.0, 0.5, 2.0), search_range=GELU.search_range)
+    bps = BreakpointSet(points=(-2.0, 0.5, 2.0))
     table = fxp_round_table(derive_table(GELU, bps), 5)
     return quantize_table(table, PowTwoScale(-5))
 
@@ -289,7 +289,7 @@ def test_load_config_file(tmp_path):
 
 
 def test_fit_artifact_round_trip(tmp_path):
-    bps = BreakpointSet(points=(-1.3, 0.7), search_range=GELU.search_range)
+    bps = BreakpointSet(points=(-1.3, 0.7))
     table = fxp_round_table(derive_table(GELU, bps), 5)
     path = str(tmp_path / "t.fit.json")
     write_fit_artifact(path, table, Provenance("abc", 7))
@@ -693,7 +693,7 @@ MALFORMED_FIT = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_FIT))
 def test_main_malformed_artifact_names_field(tmp_path, capsys, case):
     field = case.partition(":")[0]
-    bps = BreakpointSet(points=(-1.3, 0.7), search_range=GELU.search_range)
+    bps = BreakpointSet(points=(-1.3, 0.7))
     path = str(tmp_path / "t.fit.json")
     write_fit_artifact(path, fxp_round_table(derive_table(GELU, bps), 5), Provenance("abc", 0))
     with open(path) as fh:
@@ -858,7 +858,7 @@ def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
 def _write_fit(path: str, function: str):
     spec = default_spec(function)
     points = {"gelu": (-1.3, 0.7), "div": (1.0, 2.0), "rsqrt": (1.0, 2.0)}[function]
-    bps = BreakpointSet(points=points, search_range=spec.search_range)
+    bps = BreakpointSet(points=points)
     write_fit_artifact(path, fxp_round_table(derive_table(spec, bps), 5), Provenance("abc", 0))
 
 
@@ -1081,7 +1081,7 @@ def test_main_export_bytes_are_pinned(tmp_path, capsys):
     for stem, (function, points, extra) in PINNED_EXPORT_TABLES.items():
         spec = default_spec(function)
         table = fxp_round_table(
-            derive_table(spec, BreakpointSet(points=points, search_range=spec.search_range)), 5
+            derive_table(spec, BreakpointSet(points=points)), 5
         )
         path = str(tmp_path / f"{stem}.fit.json")
         write_fit_artifact(path, table, Provenance("pinned", 0))

@@ -46,7 +46,7 @@ def test_eval_range_restricted_to_fitted_range():
 def test_quant_aware_mse_exact_on_representable_linear_target():
     # y = x has exactly representable lambda=5 parameters, so the integer
     # path reproduces it and the MSE is zero
-    bps = BreakpointSet(points=(5.0,), search_range=LINEAR.search_range)
+    bps = BreakpointSet(points=(5.0,))
     table = fxp_round_table(derive_table(LINEAR, bps), 5)
     for e in (-5, -2, 0):
         assert quant_aware_mse(table, PowTwoScale(e), DatapathConfig()) == 0.0
@@ -103,7 +103,7 @@ def test_quant_aware_mse_improves_with_finer_fxp():
 def test_wide_range_pointwise_composition_through_table():
     # x=256 folds to exactly 1.0; with a breakpoint pinned at 1.0 the float
     # table is exact there and the fixed-point table is within its grid
-    bps = BreakpointSet(points=(0.5, 1.0, 2.0), search_range=RSQRT.search_range)
+    bps = BreakpointSet(points=(0.5, 1.0, 2.0))
     fl = derive_table(RSQRT, bps)
     plan = get_plan("rsqrt-int8")
     from lutfit.quant import eval_qpwl_real, fxp_quantize_table, select_subrange
@@ -135,7 +135,7 @@ def test_oracle_linear_target_ties_to_first():
     table = brute_force_oracle(ZERO, 1, 0.25)
     # every candidate scores zero on a linear target; first wins the tie
     assert fitness_mse(table) == 0.0
-    assert table.breakpoints.points == (-4.0 + 0.25,)  # first valid grid point
+    assert table.breakpoints == (-4.0 + 0.25,)  # first valid grid point
 
 
 def test_oracle_budget_refusal():
@@ -154,12 +154,12 @@ def test_oracle_dominates_grid_restricted_tables():
         pts = np.sort(rng.choice(grid[1:-1], size=2, replace=False))
         if pts[1] - pts[0] < 0.05:
             continue
-        bps = BreakpointSet(points=tuple(pts), search_range=EXP.search_range)
+        bps = BreakpointSet(points=tuple(pts))
         assert fitness_mse(derive_table(EXP, bps)) >= best - 1e-15
 
 
 def test_oracle_exp_single_breakpoint_location():
     # convex exp on (-8, 0): the best single breakpoint sits in the steep region
     table = brute_force_oracle(EXP, 1, 0.05)
-    p = table.breakpoints.points[0]
+    p = table.breakpoints[0]
     assert -3.5 < p < -0.5

@@ -36,8 +36,12 @@ GELU = default_spec(Kind.GELU)
 EXP = default_spec(Kind.EXP)
 
 
-def bset(points, search_range=(-4.0, 4.0)):
-    return BreakpointSet(points=tuple(float(p) for p in points), search_range=search_range)
+# the search range of the individuals bset builds
+RANGE = (-4.0, 4.0)
+
+
+def bset(points):
+    return BreakpointSet(points=tuple(float(p) for p in points))
 
 
 def small_cfg(**kw):
@@ -99,7 +103,7 @@ class ScriptedRng:
 
 def test_crossover_identical_parents():
     a = bset([-3, 0, 3])
-    out_a, out_b = crossover(a, a, make_rng(0))
+    out_a, out_b = crossover(a, a, RANGE, make_rng(0))
     assert out_a == a and out_b == a
 
 
@@ -109,7 +113,7 @@ def test_crossover_full_span_exchanges_parents():
     # the cuts are drawn in either order
     for draws in ((0, 2), (2, 0)):
         rng = ScriptedRng(*draws)
-        out_a, out_b = crossover(a, b, rng)
+        out_a, out_b = crossover(a, b, RANGE, rng)
         assert out_a == b and out_b == a
         assert rng.draws == []
 
@@ -117,7 +121,7 @@ def test_crossover_full_span_exchanges_parents():
 def test_crossover_single_index_hand_trace():
     a = bset([-3, 0, 3])
     b = bset([-2, 1, 2])
-    out_a, out_b = crossover(a, b, ScriptedRng(1, 1))
+    out_a, out_b = crossover(a, b, RANGE, ScriptedRng(1, 1))
     assert out_a.points == (-3.0, 1.0, 3.0)
     assert out_b.points == (-2.0, 0.0, 2.0)
 
@@ -128,7 +132,7 @@ def test_crossover_all_spans_preserve_invariants():
     n = len(a.points)
     for i in range(n):
         for j in range(n):
-            out_a, out_b = crossover(a, b, ScriptedRng(i, j))
+            out_a, out_b = crossover(a, b, RANGE, ScriptedRng(i, j))
             for out in (out_a, out_b):
                 pts = np.asarray(out.points)
                 assert np.all(np.diff(pts) >= MIN_GAP - 1e-12)
@@ -144,19 +148,19 @@ def test_crossover_all_spans_preserve_invariants():
 
 def test_crossover_rejects_mismatched_parents():
     with pytest.raises(ValueError):
-        crossover(bset([-1, 1]), bset([-1, 0, 1]), make_rng(0))
+        crossover(bset([-1, 1]), bset([-1, 0, 1]), RANGE, make_rng(0))
 
 
 def test_gaussian_mutate_degenerate_noise_is_identity():
     # nonzero points absorb 1e-300 noise exactly
     p = bset([-2, 0.5, 2])
-    assert gaussian_mutate(p, 1e-300, make_rng(3)) == p
+    assert gaussian_mutate(p, 1e-300, RANGE, make_rng(3)) == p
 
 
 def test_gaussian_mutate_bounds_and_determinism():
     p = bset([-3.9, 0, 3.9])
-    a = gaussian_mutate(p, 2.0, make_rng(9))
-    b = gaussian_mutate(p, 2.0, make_rng(9))
+    a = gaussian_mutate(p, 2.0, RANGE, make_rng(9))
+    b = gaussian_mutate(p, 2.0, RANGE, make_rng(9))
     assert a == b
     pts = np.asarray(a.points)
     assert pts[0] >= -4.0 and pts[-1] <= 4.0
@@ -178,7 +182,7 @@ def test_rm_exponent_interval_mapping():
 def test_rounding_mutate_zero_prob_is_identity():
     cfg = GaConfig(n_breakpoints=3, rm_prob=0.0)
     p = bset([-2.123, 0.456, 2.789])
-    assert rounding_mutate(p, cfg, make_rng(4)) == p
+    assert rounding_mutate(p, cfg, RANGE, make_rng(4)) == p
 
 
 def test_rounding_mutate_fixed_points_on_grid():
@@ -186,7 +190,7 @@ def test_rounding_mutate_fixed_points_on_grid():
     cfg = GaConfig(n_breakpoints=3, rm_prob=0.05, rm_range=(0, 6))
     p = bset([-2.0, 1.0, 3.0])
     for seed in range(20):
-        assert rounding_mutate(p, cfg, make_rng(seed)) == p
+        assert rounding_mutate(p, cfg, RANGE, make_rng(seed)) == p
 
 
 def test_rounding_mutate_snaps_to_grids():
@@ -194,7 +198,7 @@ def test_rounding_mutate_snaps_to_grids():
     p = bset([-2.3, -0.6, 1.37, 3.1])
     hits = 0
     for seed in range(40):
-        out = rounding_mutate(p, cfg, make_rng(seed))
+        out = rounding_mutate(p, cfg, RANGE, make_rng(seed))
         for before, after in zip(p.points, out.points):
             if after != before:
                 hits += 1
@@ -208,7 +212,7 @@ def test_rounding_mutate_rate_matches_interval_width():
     p = bset([-3.313, -2.177, -1.031, 0.618, 1.592, 3.141])
     changed = total = 0
     for seed in range(300):
-        out = rounding_mutate(p, cfg, make_rng(seed))
+        out = rounding_mutate(p, cfg, RANGE, make_rng(seed))
         for before, after in zip(p.points, out.points):
             total += 1
             changed += after != before
@@ -257,7 +261,7 @@ def test_evolve_zero_iterations_returns_best_initial():
     # same stream, so the winner must be its fitness argmin
     pop = init_population(cfg, GELU, make_rng(7))
     best = min(pop, key=lambda ind: fitness_mse(derive_table(GELU, ind)))
-    assert table.breakpoints == best
+    assert table.breakpoints == best.points
 
 
 def test_evolve_log_tracks_generations():
@@ -305,7 +309,7 @@ def test_short_ga_tracks_oracle_on_exp():
         mutation_kind=MutationKind.GAUSSIAN,
     )
     table = evolve(EXP, cfg, 3)
-    float_mse = fitness_mse(derive_table(EXP, table.breakpoints))
+    float_mse = fitness_mse(derive_table(EXP, BreakpointSet(table.breakpoints)))
     assert float_mse <= 1.3 * oracle_mse
 
 
@@ -350,7 +354,7 @@ def reference_repair_points(values, search_range, min_gap=MIN_GAP):
     return pts
 
 
-def reference_crossover(a, b, rng):
+def reference_crossover(a, b, search_range, rng):
     n = len(a.points)
     cuts = rng.integers(0, n, size=2)
     i, j = int(cuts.min()), int(cuts.max())
@@ -361,20 +365,20 @@ def reference_crossover(a, b, rng):
     child_a[i : j + 1] = pb[i : j + 1]
     child_b[i : j + 1] = pa[i : j + 1]
     return (
-        reference_repair_points(child_a, a.search_range),
-        reference_repair_points(child_b, b.search_range),
+        reference_repair_points(child_a, search_range),
+        reference_repair_points(child_b, search_range),
     )
 
 
 def reference_gaussian_mutate(p, sigma, spec, rng):
     noisy = np.asarray(p.points) + rng.normal(0.0, sigma, size=len(p.points))
     np.clip(noisy, spec.search_range[0], spec.search_range[1], out=noisy)
-    return reference_repair_points(noisy, p.search_range)
+    return reference_repair_points(noisy, spec.search_range)
 
 
-def reference_rounding_mutate(p, cfg, rng):
+def reference_rounding_mutate(p, cfg, search_range, rng):
     out = np.asarray(p.points).copy()
-    lo, hi = p.search_range
+    lo, hi = search_range
     draws = rng.random(len(p.points))
     for idx, rand_p in enumerate(draws):
         i = _rm_exponent(float(rand_p), cfg.rm_prob, cfg.rm_range)
@@ -387,7 +391,7 @@ def reference_rounding_mutate(p, cfg, rng):
         if others.size and np.abs(others - snapped).min() < MIN_GAP:
             continue
         out[idx] = snapped
-    return reference_repair_points(out, p.search_range)
+    return reference_repair_points(out, search_range)
 
 
 def bits(points) -> bytes:
@@ -433,7 +437,7 @@ def individuals(draw, spec, n):
     lo, hi = spec.search_range
     inside = range_values(lo, hi).map(lambda v: min(max(v, lo), hi))
     points = draw(st.lists(inside, min_size=n, max_size=n, unique=True))
-    return BreakpointSet(points=tuple(sorted(points)), search_range=spec.search_range)
+    return BreakpointSet(points=tuple(sorted(points)))
 
 
 @st.composite
@@ -466,16 +470,17 @@ def test_repair_points_matches_reference(case):
 def parent_pairs(draw):
     spec = draw(st.sampled_from(SPECS))
     n = draw(st.integers(1, 15))
-    return draw(individuals(spec, n)), draw(individuals(spec, n))
+    return spec.search_range, draw(individuals(spec, n)), draw(individuals(spec, n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(parent_pairs(), SEEDS)
-@example((bset([3.9, 3.95, 3.99]), bset([3.89, 3.91, 3.93])), 0)  # repair fires
-def test_crossover_matches_reference(parents, seed):
+@example((RANGE, bset([3.9, 3.95, 3.99]), bset([3.89, 3.91, 3.93])), 0)  # repair fires
+def test_crossover_matches_reference(case, seed):
+    search_range, a, b = case
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    children = crossover(*parents, rng)
-    expected = reference_crossover(*parents, ref_rng)
+    children = crossover(a, b, search_range, rng)
+    expected = reference_crossover(a, b, search_range, ref_rng)
     assert [bits(c.points) for c in children] == [bits(c) for c in expected]
     assert next_draws(rng) == next_draws(ref_rng)
 
@@ -488,7 +493,7 @@ def test_gaussian_mutate_matches_reference(case, sigma_share, seed):
     lo, hi = spec.search_range
     sigma = sigma_share * (hi - lo)
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    out = gaussian_mutate(p, sigma, rng)
+    out = gaussian_mutate(p, sigma, spec.search_range, rng)
     assert bits(out.points) == bits(reference_gaussian_mutate(p, sigma, spec, ref_rng))
     assert next_draws(rng) == next_draws(ref_rng)
 
@@ -504,10 +509,11 @@ def rm_configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutation_cases(), rm_configs(), SEEDS)
 def test_rounding_mutate_matches_reference(case, cfg, seed):
-    _, p = case
+    spec, p = case
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    out = rounding_mutate(p, cfg, rng)
-    assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, ref_rng))
+    out = rounding_mutate(p, cfg, spec.search_range, rng)
+    expected = reference_rounding_mutate(p, cfg, spec.search_range, ref_rng)
+    assert bits(out.points) == bits(expected)
     assert next_draws(rng) == next_draws(ref_rng)
 
 
@@ -518,6 +524,6 @@ def test_rounding_mutate_reverts_blocked_snaps(points):
     cfg = GaConfig(rm_prob=0.5, rm_range=(0, 1))
     p = bset(points)
     for seed in range(20):
-        out = rounding_mutate(p, cfg, make_rng(seed))
+        out = rounding_mutate(p, cfg, RANGE, make_rng(seed))
         assert out == p
-        assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, make_rng(seed)))
+        assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, RANGE, make_rng(seed)))

@@ -247,7 +247,7 @@ EVAL_GOLDEN = {
 @pytest.mark.parametrize("function", sorted(EVAL_TABLES))
 def test_stock_eval_reports_are_pinned(tmp_path, function):
     spec = default_spec(function)
-    table = derive_table(spec, BreakpointSet(EVAL_TABLES[function], spec.search_range))
+    table = derive_table(spec, BreakpointSet(EVAL_TABLES[function]))
     path = str(tmp_path / f"{function}.fit.json")
     write_fit_artifact(path, fxp_round_table(table, 5), Provenance("pinned", 0))
     assert main(["eval", "--table", path, "--out", str(tmp_path)]) == 0

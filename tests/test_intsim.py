@@ -29,7 +29,7 @@ def hand_table(slopes, intercepts, breakpoints, exponent, frac_bits=5):
 
 
 def fitted_qtable(exponent=-5, points=(-2.8, -1.9, -0.9, 0.1, 0.9, 1.8, 2.7)):
-    bps = BreakpointSet(points=points, search_range=GELU.search_range)
+    bps = BreakpointSet(points=points)
     table = fxp_round_table(derive_table(GELU, bps), 5)
     return table, quantize_table(table, PowTwoScale(exponent))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lutfit._fields import FieldError
 from lutfit.nonlin import Kind, NonLinSpec, default_spec, eval_ref
 from lutfit.pwl import (
     FITNESS_STEP,
@@ -34,19 +35,17 @@ EXP_B0 = 0.03629581514956584  # e^-8 + 8 * k0
 
 
 def make_linear_table(points):
-    bps = BreakpointSet(points=tuple(points), search_range=LINEAR.search_range)
+    bps = BreakpointSet(points=tuple(points))
     return derive_table(LINEAR, bps)
 
 
-def test_breakpoint_set_validation():
-    with pytest.raises(ValueError):
-        BreakpointSet(points=(1.0, 1.0), search_range=(-4.0, 4.0))
-    with pytest.raises(ValueError):
-        BreakpointSet(points=(2.0, 1.0), search_range=(-4.0, 4.0))
-    with pytest.raises(ValueError):
-        BreakpointSet(points=(-5.0,), search_range=(-4.0, 4.0))
-    with pytest.raises(ValueError):
-        BreakpointSet(points=(), search_range=(-4.0, 4.0))
+def test_table_breakpoint_validation():
+    # repeated, descending, outside the spec's range (-4, 4), and none at all
+    for points in ((1.0, 1.0), (2.0, 1.0), (-5.0,), ()):
+        n = len(points) + 1
+        with pytest.raises(FieldError) as info:
+            PwlTable(slopes=(0.0,) * n, intercepts=(0.0,) * n, breakpoints=points, spec=GELU)
+        assert info.value.field == "breakpoints"
 
 
 def test_repair_sorts_clips_and_spaces():
@@ -80,7 +79,7 @@ def test_derive_linear_target_is_exact():
 
 
 def test_derive_exp_single_breakpoint_oracle():
-    bps = BreakpointSet(points=(-4.0,), search_range=EXP.search_range)
+    bps = BreakpointSet(points=(-4.0,))
     table = derive_table(EXP, bps)
     assert table.entries == 2
     assert table.slopes[0] == pytest.approx(EXP_K0, rel=1e-14)
@@ -93,15 +92,9 @@ def test_gelu_default_breakpoint_count_gives_eight_entries():
 
 
 def test_derive_rejects_degenerate_gap():
-    bad = BreakpointSet(points=(-7.999,), search_range=EXP.search_range)
+    bad = BreakpointSet(points=(-7.999,))
     with pytest.raises(GapError):
         derive_table(EXP, bad)
-
-
-def test_derive_rejects_mismatched_range():
-    bps = BreakpointSet(points=(-1.0,), search_range=(-2.0, 2.0))
-    with pytest.raises(ValueError):
-        derive_table(GELU, bps)
 
 
 def test_eval_linear_table_everywhere():
@@ -113,7 +106,7 @@ def test_eval_linear_table_everywhere():
 
 
 def test_eval_exact_at_breakpoints():
-    bps = BreakpointSet(points=(-4.0,), search_range=EXP.search_range)
+    bps = BreakpointSet(points=(-4.0,))
     table = derive_table(EXP, bps)
     assert eval_pwl(table, -4.0) == pytest.approx(math.exp(-4), rel=1e-14)
     assert eval_pwl(table, -8.0) == pytest.approx(math.exp(-8), rel=1e-14)
@@ -125,7 +118,7 @@ def test_eval_segment_structure():
     table = PwlTable(
         slopes=(1.0, 2.0),
         intercepts=(0.0, -1.0),
-        breakpoints=BreakpointSet(points=(1.0,), search_range=(-4.0, 4.0)),
+        breakpoints=(1.0,),
         spec=GELU,
     )
     assert eval_pwl(table, 0.999) == pytest.approx(0.999)
@@ -141,7 +134,7 @@ def test_continuity_at_breakpoints_of_derived_tables():
                 rng.uniform(*spec.search_range, size=7), spec.search_range
             )
             table = derive_table(spec, bps)
-            for i, p in enumerate(table.breakpoints.points):
+            for i, p in enumerate(table.breakpoints):
                 left = table.slopes[i] * p + table.intercepts[i]
                 right = table.slopes[i + 1] * p + table.intercepts[i + 1]
                 assert abs(left - right) < 1e-9
@@ -160,7 +153,7 @@ def test_fitness_zero_on_linear():
 
 
 def test_fitness_matches_naive_reimplementation():
-    bps = BreakpointSet(points=(-4.0,), search_range=EXP.search_range)
+    bps = BreakpointSet(points=(-4.0,))
     table = derive_table(EXP, bps)
     got = fitness_mse(table)
 
@@ -175,8 +168,8 @@ def test_fitness_matches_naive_reimplementation():
 
 
 def test_monotone_refinement_on_convex_exp():
-    coarse = BreakpointSet(points=(-4.0,), search_range=EXP.search_range)
-    fine = BreakpointSet(points=(-6.0, -4.0, -2.0), search_range=EXP.search_range)
+    coarse = BreakpointSet(points=(-4.0,))
+    fine = BreakpointSet(points=(-6.0, -4.0, -2.0))
     mse_coarse = fitness_mse(derive_table(EXP, coarse))
     mse_fine = fitness_mse(derive_table(EXP, fine))
     assert mse_fine <= mse_coarse + 1e-12
@@ -272,9 +265,25 @@ def test_repair_memo_keeps_signed_zero_bits():
         repaired_breakpoints(first, GELU.search_range)
         out = repaired_breakpoints(second, GELU.search_range)
         assert math.copysign(1.0, out.points[0]) == math.copysign(1.0, second[0])
-    for hi in (0.0, -0.0, 0.0):
-        out = repaired_breakpoints((-1.0,), (-8.0, hi))
-        assert math.copysign(1.0, out.search_range[1]) == math.copysign(1.0, hi)
+
+
+@pytest.mark.parametrize("ranges", [
+    ((-4, 4), (-4.0, 4.0)),
+    ((-8, 0), (-8.0, 0.0)),
+    ((-8.0, 0.0), (-8.0, -0.0)),
+])
+def test_repair_memo_gives_the_bits_of_an_uncached_repair(ranges):
+    # Equal ranges share memo entries, however they are written, so each
+    # spelling must get the points repair_points gives it. The values are
+    # clipped at both ends and pushed apart, so every point comes from a
+    # range end.
+    for search_range in (*ranges, *ranges[::-1]):
+        lo, hi = search_range
+        values = (lo - 1.0, lo + 0.01, hi + 0.5, hi + 1.0)
+        out = repaired_breakpoints(values, search_range)
+        assert out is repaired_breakpoints(values, ranges[0])
+        uncached = repair_points(values, search_range)
+        assert [p.hex() for p in out.points] == [p.hex() for p in uncached]
 
 
 def test_repair_memo_shares_one_checked_result():

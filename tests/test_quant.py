@@ -94,7 +94,7 @@ def test_quantize_table_breakpoints_are_collapsed_quantize(kind, unit, bits, e):
 
 
 def gelu_table(points=(-2.5, -1.25, 0.5, 1.75)):
-    bps = BreakpointSet(points=points, search_range=GELU.search_range)
+    bps = BreakpointSet(points=points)
     return fxp_round_table(derive_table(GELU, bps), 5)
 
 
@@ -149,7 +149,7 @@ def test_quantize_table_collapse_maps_region_past_duplicates():
 
 
 def test_quantize_table_rejects_wide_range():
-    bps = BreakpointSet(points=(1.0, 2.0), search_range=DIV.search_range)
+    bps = BreakpointSet(points=(1.0, 2.0))
     table = fxp_round_table(derive_table(DIV, bps), 5)
     with pytest.raises(ValueError):
         quantize_table(table, PowTwoScale(0))
@@ -164,7 +164,7 @@ def test_fitted_gelu_breakpoints_stay_distinct_at_natural_scale():
 
 
 def div_table(points=(0.75, 1.0, 1.5, 2.5)):
-    bps = BreakpointSet(points=points, search_range=DIV.search_range)
+    bps = BreakpointSet(points=points)
     return fxp_round_table(derive_table(DIV, bps), 5)
 
 
@@ -175,7 +175,7 @@ def test_fxp_quantize_table_rounds_breakpoints():
     table = PwlTable(
         slopes=(-2.0, -1.0, -0.5, -0.25),
         intercepts=(3.0, 2.0, 1.5, 1.0),
-        breakpoints=BreakpointSet(points=(0.515625, 1.0, 2.0), search_range=DIV.search_range),
+        breakpoints=(0.515625, 1.0, 2.0),
         spec=DIV,
     )
     qt = fxp_quantize_table(table)
@@ -224,7 +224,7 @@ def test_fxp_quantize_table_parameters_are_param_bits_wide():
     assert (qt.slopes_fxp[0], qt.intercepts_fxp[0]) == (-128, 127)
     assert qt.saturated == ("slope[0]", "intercept[0]")
     # breakpoints stay input_bits wide: 4.0 is mantissa 128 at 5 fractional bits
-    wide_bps = replace(table, breakpoints=BreakpointSet((0.75, 1.0, 1.5, 4.0), DIV.search_range))
+    wide_bps = replace(table, breakpoints=(0.75, 1.0, 1.5, 4.0))
     assert fxp_quantize_table(wide_bps).saturated == ("breakpoint[3]",)
 
 
