@@ -171,7 +171,8 @@ def cmd_export(
                           f"datapath.frac_bits and takes no scale, got {scale_exp}")
     dp = cfg.datapath
     if isinstance(table, QPwlTable):
-        if scale_exp not in (None, table.scale.exponent):
+        # only a scale-carrying table gets here with a scale_exp, and it has a scale
+        if scale_exp is not None and scale_exp != table.scale.exponent:
             raise ConfigError(f"invalid --scale-exp: the quantized table is stored at "
                               f"2^{table.scale.exponent}, got {scale_exp}")
         qtable = table

@@ -1031,6 +1031,22 @@ def test_main_export_rejects_a_scale_exp_it_would_ignore(tmp_path, capsys):
     assert header == (tmp_path / "plain" / "gelu.h").read_text()
 
 
+def test_main_wide_range_qtable_reexports_as_stored(tmp_path, capsys):
+    # a div or rsqrt qtable holds no scale; it re-exports in every format,
+    # and its data export is the file it was read from
+    stored, again = tmp_path / "stored", tmp_path / "again"
+    for function in ("div", "rsqrt"):
+        table = str(tmp_path / f"{function}.fit.json")
+        _write_fit(table, function)
+        assert main(["export", "--table", table, "--format", "data", "--out", str(stored)]) == 0
+        qtable = stored / f"{function}.qtable.json"
+        for fmt in ("data", "header", "memh"):
+            argv = ["export", "--table", str(qtable), "--format", fmt, "--out", str(again)]
+            assert main(argv) == 0, capsys.readouterr().err
+        assert (again / qtable.name).read_bytes() == qtable.read_bytes()
+        assert f"#define {function.upper()}_ENTRIES 3" in (again / f"{function}.h").read_text()
+
+
 def test_main_export_checks_field_widths_in_every_format(tmp_path, capsys):
     # a slope mantissa of 300 needs 10 bits; a data export holds the same
     # fields as memh and header, so all three reject it
