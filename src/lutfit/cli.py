@@ -157,13 +157,20 @@ def cmd_export(
     format checks the table against it (check_format); a quantized-table
     artifact is exported as stored. scale_exp quantizes a scale-carrying
     fit; a quantized table takes only its stored exponent, a div or rsqrt
-    table none. The header's identifier prefix is the artifact's stem.
+    table none. The header's identifier prefix is the artifact's stem,
+    upper-cased, so a header export needs a stem that is a C identifier.
     artifact is read_artifact(table_path) when the caller has read it.
     """
     if fmt not in EXPORT_FORMATS:
         raise ConfigError(
             f"unsupported format {fmt!r}; supported formats: {', '.join(EXPORT_FORMATS)}"
         )
+    stem, _ = os.path.splitext(os.path.basename(table_path))
+    stem = stem.removesuffix(".fit").removesuffix(".qtable")
+    prefix = stem.upper()
+    if fmt == "header" and not (prefix.isascii() and prefix.isidentifier()):
+        raise ConfigError(f"invalid --table: the header's identifier prefix is the upper-cased "
+                          f"file stem, and {prefix!r} is not a C identifier")
     table, provenance = _read_table(cfg, table_path, artifact)
     kind = table.spec.kind.value
     if scale_exp is not None and not table.spec.scale_carrying:
@@ -188,8 +195,6 @@ def cmd_export(
         qtable = fxp_quantize_table(table, dp)
     check_format(qtable, dp)
 
-    stem, _ = os.path.splitext(os.path.basename(table_path))
-    stem = stem.removesuffix(".fit").removesuffix(".qtable")
     if fmt == "data":
         path = os.path.join(cfg.out_dir, f"{stem}.qtable.json")
         write_qtable_artifact(path, qtable, provenance)

@@ -1047,6 +1047,23 @@ def test_main_wide_range_qtable_reexports_as_stored(tmp_path, capsys):
         assert f"#define {function.upper()}_ENTRIES 3" in (again / f"{function}.h").read_text()
 
 
+@pytest.mark.parametrize("stem", ["gelu-best", "gelu best v2", "8e_gelu"])
+def test_main_header_export_needs_a_c_identifier_stem(tmp_path, capsys, stem):
+    # the header's identifiers are the upper-cased stem plus _ENTRIES, ...
+    table = str(tmp_path / f"{stem}.fit.json")
+    _write_fit(table, "gelu")
+    out = tmp_path / "out"
+    argv = ["export", "--table", table, "--scale-exp", "-5", "--out", str(out)]
+    assert main([*argv, "--format", "header"]) == 2
+    err = capsys.readouterr().err
+    assert (f"invalid --table: the header's identifier prefix is the upper-cased file stem, "
+            f"and {stem.upper()!r} is not a C identifier") in err, err
+    assert not out.exists()
+    # the other formats do not name anything after the stem
+    for fmt in ("data", "memh"):
+        assert main([*argv, "--format", fmt]) == 0
+
+
 def test_main_export_checks_field_widths_in_every_format(tmp_path, capsys):
     # a slope mantissa of 300 needs 10 bits; a data export holds the same
     # fields as memh and header, so all three reject it
