@@ -102,6 +102,9 @@ def wide_range_mse(
 ) -> float:
     """Pooled MSE of a wide-range operator through its fixed-point table.
 
+    Every input is folded into the plan's inner range, which must lie
+    inside the search range the table was fitted on.
+
     The table is rounded to datapath.frac_bits fixed point by
     fxp_quantize_table. Samples the inner range at the fitness-grid step
     and each finite sub-range at 1024 uniform points; every sample
@@ -111,6 +114,10 @@ def wide_range_mse(
     spec = table.spec
     if spec.scale_carrying:
         raise ValueError(f"{spec.kind.value} is scale-carrying; use sweep_scales")
+    (lo, hi), (inner_lo, inner_hi) = spec.search_range, plan.inner_range
+    if inner_lo < lo or inner_hi > hi:
+        raise ValueError(f"invalid field plan: inner range {list(plan.inner_range)} is not "
+                         f"inside the table's search_range {list(spec.search_range)}")
     qtable = fxp_quantize_table(table, datapath)
     xs = [fitness_grid(plan.inner_range)[0]]
     for sr in plan.sub_ranges:

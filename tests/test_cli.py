@@ -32,7 +32,7 @@ from lutfit.config import (
 from lutfit.evalbench import eval_range_q, sweep_scales
 from lutfit.evolve import MutationKind
 from lutfit.fxp import DatapathConfig, int_bounds
-from lutfit.nonlin import Kind, default_spec
+from lutfit.nonlin import Kind, NonLinSpec, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
 
@@ -1062,6 +1062,25 @@ def test_main_header_export_needs_a_c_identifier_stem(tmp_path, capsys, stem):
     # the other formats do not name anything after the stem
     for fmt in ("data", "memh"):
         assert main([*argv, "--format", fmt]) == 0
+
+
+def test_main_wide_range_eval_plan_must_lie_inside_the_table_range(tmp_path, capsys):
+    # div-int8 folds every input into (0.5, 4.0); a table fitted on (1.0, 4.0)
+    # would extrapolate below 1.0, so the eval exits 2 with or without the
+    # config the table was fitted under
+    spec = NonLinSpec(Kind.DIV, (1.0, 4.0))
+    table = fxp_round_table(derive_table(spec, BreakpointSet((1.5, 2.0, 3.0))), 5)
+    table_path = str(tmp_path / "div.fit.json")
+    write_fit_artifact(table_path, table, Provenance("abc", 0))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"function": "div", "search_range": [1.0, 4.0]}))
+    out = tmp_path / "out"
+    for flags in ([], ["--config", str(cfg_path)]):
+        assert main(["eval", "--table", table_path, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("invalid field plan: inner range [0.5, 4.0] is not inside the table's "
+                "search_range [1.0, 4.0]") in err, err
+    assert not out.exists()
 
 
 def test_main_export_checks_field_widths_in_every_format(tmp_path, capsys):
