@@ -241,7 +241,8 @@ def test_criterion_6_property_suite():
     # continuity at breakpoints of derived tables (fitted + random)
     worst_gap = 0.0
     rng = np.random.default_rng(5)
-    tables = [derive_table(spec, BreakpointSet(get_fit(Kind.GELU, 8, s).breakpoints)) for s in SEEDS]
+    tables = [derive_table(spec, BreakpointSet(get_fit(Kind.GELU, 8, s).breakpoints))
+              for s in SEEDS]
     for _ in range(10):
         pts = repaired_breakpoints(rng.uniform(-4, 4, size=7), spec.search_range)
         tables.append(derive_table(spec, pts))
