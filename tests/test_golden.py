@@ -17,21 +17,34 @@ Gaussian fits clip against other range ends.
 
 Every fit artifact embeds its config_hash, so the stock configs' hashes are
 pinned on their own as well, and so are the gated values of a stock int8
-eval of one fixed table per operator.
+eval of one fixed table per operator. The same fixed tables pin both
+quantizers (every field of the quantized-table artifact) and the float
+model of the wide-range ones.
 """
 
 import hashlib
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
-from lutfit.artifacts import Provenance, write_fit_artifact
+from lutfit.artifacts import Provenance, qtable_artifact_text, write_fit_artifact
 from lutfit.cli import cmd_fit, main
 from lutfit.config import config_from_dict, config_hash
 from lutfit.evolve import MutationKind
+from lutfit.fxp import DatapathConfig
 from lutfit.nonlin import default_spec
-from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
+from lutfit.pwl import BreakpointSet, derive_table, fitness_grid, fxp_round_table
+from lutfit.quant import (
+    PowTwoScale,
+    eval_qpwl_real,
+    fxp_quantize_table,
+    get_plan,
+    quantize_table,
+    select_subrange,
+)
 
 GENERATIONS = 60
 
@@ -254,3 +267,83 @@ def test_stock_eval_reports_are_pinned(tmp_path, function):
     with open(tmp_path / f"{function}_report.json") as fh:
         report = json.load(fh)
     assert {key: report[key] for key in EVAL_GOLDEN[function]} == EVAL_GOLDEN[function]
+
+
+def eval_table(function):
+    table = derive_table(default_spec(function), BreakpointSet(EVAL_TABLES[function]))
+    return fxp_round_table(table, 5)
+
+
+# sha256 over the quantized-table artifacts of quantize_table at every scale
+# exponent -12..-1 (in that order), per operator and input width. The int8
+# sweeps collapse breakpoints at the finer scales.
+QUANTIZE_GOLDEN = {
+    ("exp", 8): "f3cef02a2d59bd41de46307f5596038ae1ea58f40eb347223293e9cd47af2f31",
+    ("exp", 16): "1a6fd0985673c6c4fb4c787f9003249cf9ea1512814556f0e51d8f735fa4b9f2",
+    ("gelu", 8): "15c5c6b2b566b23d321409690211ce45fe94eb2c8660b8128adb6c0ad6a85625",
+    ("gelu", 16): "918bc2d303af99261146f4594ff1347c86d95cdae616886a9d91a884fef4b5eb",
+    ("hswish", 8): "6c50c002b42337a2f825f6f09f431c5d8f24cfa5fc4d472ecd8799fc9cfdb53c",
+    ("hswish", 16): "94dc86abadc8a1efd395bd4af6cea20bacb79e680d030a011a61cf0631674c67",
+}
+
+
+@pytest.mark.parametrize("function,bits", sorted(QUANTIZE_GOLDEN))
+def test_quantize_table_artifacts_are_pinned(function, bits):
+    digest = hashlib.sha256()
+    collapsed = 0
+    for e in range(-12, 0):
+        datapath = DatapathConfig(input_bits=bits)
+        qtable = quantize_table(eval_table(function), PowTwoScale(e), datapath)
+        collapsed += len(qtable.dropped_segments)
+        digest.update(qtable_artifact_text(qtable, Provenance("pinned", 0)).encode())
+    assert digest.hexdigest() == QUANTIZE_GOLDEN[(function, bits)]
+    assert collapsed > 0 if bits == 8 else collapsed == 0
+
+
+# Narrow enough that both wide-range tables saturate and collapse.
+NARROW = DatapathConfig(frac_bits=7, param_bits=8)
+
+# (quantized-table artifact, eval_qpwl_real bytes on wide_range_mse's samples
+# of the stock plan) of fxp_quantize_table under the stock and NARROW datapaths.
+FXP_QUANTIZE_GOLDEN = {
+    ("div", "stock"): (
+        "812dfa358471e19cc5812012396d89a614116b3ebdfd2868bd89e0a835aef7c6",
+        "5caf11f23f0bc2f3bf83db8fdfc7a25695259edf522bb1ce7a94b1b92edb609e",
+    ),
+    ("div", "narrow"): (
+        "9dc29b66cbf6014de0f1f74030beda0583efe1f9af9b1c42a67444a120926b79",
+        "9ba3e5f13c880c36d1bf387f4fce0aec217fb0ae65b5b390cb0a8a47fac2f808",
+    ),
+    ("rsqrt", "stock"): (
+        "c688e28942d13232472fab3b92ff71ab539d745ab58f42d18bb41bb0db3b736b",
+        "82517e5ab7cd7e29d72b21c771489772e16ad7fba6d8708bf1da47d0dd59429f",
+    ),
+    ("rsqrt", "narrow"): (
+        "8bc4be757e62b19d66d1c083f717ae4f0095a96c50d0b80d6899bc8bd90dd1cb",
+        "5787f2d5149244efc78a09044cd3f4faf76939700d9ae9013f828d46e612e8fc",
+    ),
+}
+
+
+def wide_range_samples(plan):
+    """wide_range_mse's inputs, folded into the plan's inner range."""
+    xs = [fitness_grid(plan.inner_range)[0]]
+    for sr in plan.sub_ranges:
+        if math.isfinite(sr.hi):
+            xs.append(sr.lo + (sr.hi - sr.lo) * np.arange(1024) / 1024)
+    samples = np.concatenate(xs)
+    exponents, _ = select_subrange(samples, plan)
+    return samples * np.ldexp(1.0, exponents)
+
+
+@pytest.mark.parametrize("function,datapath", sorted(FXP_QUANTIZE_GOLDEN))
+def test_fxp_quantize_table_artifacts_and_float_model_are_pinned(function, datapath):
+    narrow = datapath == "narrow"
+    qtable = fxp_quantize_table(eval_table(function), NARROW if narrow else DatapathConfig())
+    assert bool(qtable.saturated) == narrow
+    ys = eval_qpwl_real(qtable, wide_range_samples(get_plan(f"{function}-int8")))
+    digests = (
+        hashlib.sha256(qtable_artifact_text(qtable, Provenance("pinned", 0)).encode()).hexdigest(),
+        hashlib.sha256(ys.tobytes()).hexdigest(),
+    )
+    assert digests == FXP_QUANTIZE_GOLDEN[(function, datapath)]

@@ -21,6 +21,7 @@ from lutfit.quant import (
     get_plan,
     quantize,
     quantize_table,
+    segment_index,
     select_subrange,
 )
 
@@ -383,6 +384,53 @@ def test_eval_qpwl_real_wide_range_matches_dequantized_params():
         assert y == pytest.approx(
             qt.slopes_real[idx] * x + qt.intercepts_real[idx], abs=1e-15
         )
+
+
+def fitted_tables(kind, count=10):
+    """count tables over kind's stock range, alternately 8 and 16 entries,
+    with breakpoints drawn from a fixed seed."""
+    spec = default_spec(kind)
+    rng = np.random.default_rng(23)
+    return [
+        fxp_round_table(derive_table(spec, repaired_breakpoints(
+            rng.uniform(*spec.search_range, size=7 if i % 2 else 15), spec.search_range)), 5)
+        for i in range(count)
+    ]
+
+
+def assert_float_model_selects_segment_index(qt, exponent, bits):
+    """On every input x = q * 2^exponent of a bits-wide datapath, the float
+    model selects segment_index(q) and evaluates that entry."""
+    lo, hi = int_bounds(bits)
+    q = np.arange(lo, hi + 1)
+    x = np.ldexp(q.astype(float), exponent)
+    idx = segment_index(q, qt)
+    selected = np.searchsorted(np.ldexp(np.asarray(qt.breakpoints_q, dtype=float), exponent),
+                               x, side="right")
+    assert np.array_equal(selected, idx), (qt, exponent, bits)
+    slopes = np.ldexp(np.asarray(qt.slopes_fxp, dtype=float), -qt.frac_bits)
+    intercepts = np.ldexp(np.asarray(qt.intercepts_fxp, dtype=float), -qt.frac_bits)
+    assert np.array_equal(eval_qpwl_real(qt, x), slopes[idx] * x + intercepts[idx])
+
+
+@pytest.mark.parametrize("kind", (Kind.GELU, Kind.HSWISH, Kind.EXP))
+def test_float_model_selects_the_integer_segment_scale_carrying(kind):
+    collapsed = 0
+    for table in fitted_tables(kind):
+        for bits in (8, 16):
+            for e in range(-12, 0):
+                qt = quantize_table(table, PowTwoScale(e), DatapathConfig(input_bits=bits))
+                collapsed += len(qt.dropped_segments)
+                assert_float_model_selects_segment_index(qt, e, bits)
+    assert collapsed > 0
+
+
+@pytest.mark.parametrize("kind", (Kind.DIV, Kind.RSQRT))
+def test_float_model_selects_the_integer_segment_wide_range(kind):
+    for table in fitted_tables(kind):
+        for bits in (8, 16):
+            qt = fxp_quantize_table(table, DatapathConfig(input_bits=bits))
+            assert_float_model_selects_segment_index(qt, -qt.frac_bits, bits)
 
 
 def test_qpwl_table_validation():
