@@ -75,9 +75,11 @@ class QPwlTable:
     slopes_fxp / intercepts_fxp are integer mantissas at frac_bits
     fractional bits. breakpoints_q are plain integers compared against q for
     scale-carrying operators, or frac_bits mantissas for wide-range ones;
-    scale is None exactly when the operator is wide-range. source_segments maps each stored entry
-    back to its segment index in the originating real-valued table; entries
-    whose quantized breakpoints collided are dropped (keep-first).
+    scale is None exactly when the operator is wide-range. The table holds
+    only these integers and their format (eval_qpwl_real scales them back).
+    source_segments maps each stored entry back to its segment index in the
+    originating real-valued table; entries whose quantized breakpoints
+    collided are dropped (keep-first).
     """
 
     slopes_fxp: tuple[int, ...]
@@ -120,27 +122,11 @@ class QPwlTable:
         total = max(self.source_segments) + 1
         return tuple(i for i in range(total) if i not in kept)
 
-    @property
-    def slopes_real(self) -> tuple[float, ...]:
-        s = math.ldexp(1.0, -self.frac_bits)
-        return tuple(v * s for v in self.slopes_fxp)
 
-    @property
-    def intercepts_real(self) -> tuple[float, ...]:
-        s = math.ldexp(1.0, -self.frac_bits)
-        return tuple(v * s for v in self.intercepts_fxp)
-
-    @property
-    def breakpoints_real(self) -> tuple[float, ...]:
-        """Breakpoint positions in the input domain of the original function."""
-        if self.scale is not None:
-            return tuple(dequantize(p, self.scale) for p in self.breakpoints_q)
-        s = math.ldexp(1.0, -self.frac_bits)
-        return tuple(v * s for v in self.breakpoints_q)
-
-
-def _collapse(bps_q, slopes, intercepts, context: str):
-    """Drop segments whose quantized breakpoints collide (keep first value).
+def _build(table: PwlTable, datapath: DatapathConfig, bps_q, slopes, intercepts,
+           scale: PowTwoScale | None = None, saturated=()) -> QPwlTable:
+    """The QPwlTable of table's spec at datapath.frac_bits, with the segments
+    whose quantized breakpoints collide dropped (keep first value).
 
     A run of m equal breakpoints leaves the m-1 segments between them
     unreachable: the region at or above the shared value belongs to the
@@ -151,16 +137,22 @@ def _collapse(bps_q, slopes, intercepts, context: str):
     for b in bps_q:
         if not kept_b or b > kept_b[-1]:
             kept_b.append(b)
-    kept_segments = [0] + [bisect_right(bps_q, b) for b in kept_b]
-    dropped = sorted(set(range(len(slopes))) - set(kept_segments))
+    kept = [0] + [bisect_right(bps_q, b) for b in kept_b]
+    dropped = sorted(set(range(len(slopes))) - set(kept))
     if dropped:
-        _warn("%s: collapsed %d duplicate quantized breakpoints (segments %s dropped)",
-              context, len(dropped), dropped)
-    return (
-        tuple(kept_b),
-        tuple(slopes[i] for i in kept_segments),
-        tuple(intercepts[i] for i in kept_segments),
-        tuple(kept_segments),
+        fmt = (f"fxp{datapath.input_bits}.{datapath.frac_bits}" if scale is None
+               else f"2^{scale.exponent}")
+        _warn("%s@%s: collapsed %d duplicate quantized breakpoints (segments %s dropped)",
+              table.spec.kind.value, fmt, len(dropped), dropped)
+    return QPwlTable(
+        slopes_fxp=tuple(slopes[i] for i in kept),
+        intercepts_fxp=tuple(intercepts[i] for i in kept),
+        breakpoints_q=tuple(kept_b),
+        frac_bits=datapath.frac_bits,
+        spec=table.spec,
+        scale=scale,
+        source_segments=tuple(kept),
+        saturated=tuple(saturated),
     )
 
 
@@ -189,22 +181,10 @@ def quantize_table(
     """
     if not table.spec.scale_carrying:
         raise ValueError(f"{table.spec.kind.value} is wide-range; use fxp_quantize_table")
-    frac_bits = datapath.frac_bits
     bps_q = [quantize(p, scale, datapath.input_bits) for p in table.breakpoints]
-    slopes = _mantissas(table.slopes, frac_bits, "slopes")
-    intercepts = _mantissas(table.intercepts, frac_bits, "intercepts")
-    bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
-        bps_q, slopes, intercepts, f"{table.spec.kind.value}@2^{scale.exponent}"
-    )
-    return QPwlTable(
-        slopes_fxp=slopes_kept,
-        intercepts_fxp=intercepts_kept,
-        breakpoints_q=bps_kept,
-        frac_bits=frac_bits,
-        spec=table.spec,
-        scale=scale,
-        source_segments=segments,
-    )
+    slopes = _mantissas(table.slopes, datapath.frac_bits, "slopes")
+    intercepts = _mantissas(table.intercepts, datapath.frac_bits, "intercepts")
+    return _build(table, datapath, bps_q, slopes, intercepts, scale)
 
 
 def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfig()) -> QPwlTable:
@@ -235,19 +215,7 @@ def fxp_quantize_table(table: PwlTable, datapath: DatapathConfig = DatapathConfi
     if saturated:
         _warn("%s: saturated fields %s at %d-bit parameters, %d-bit breakpoints",
               table.spec.kind.value, saturated, datapath.param_bits, bits)
-    bps_kept, slopes_kept, intercepts_kept, segments = _collapse(
-        bps, slopes, intercepts, f"{table.spec.kind.value}@fxp{bits}.{frac_bits}"
-    )
-    return QPwlTable(
-        slopes_fxp=slopes_kept,
-        intercepts_fxp=intercepts_kept,
-        breakpoints_q=bps_kept,
-        frac_bits=frac_bits,
-        spec=table.spec,
-        scale=None,
-        source_segments=segments,
-        saturated=tuple(saturated),
-    )
+    return _build(table, datapath, bps, slopes, intercepts, saturated=saturated)
 
 
 def check_format(qtable: QPwlTable, datapath: DatapathConfig):
@@ -271,14 +239,18 @@ def check_format(qtable: QPwlTable, datapath: DatapathConfig):
 
 
 def eval_qpwl_real(qtable: QPwlTable, x):
-    """Real-domain evaluation of a quantized table (dequantized parameters).
+    """Float model of a quantized table, the wide-range eval's stand-in for
+    the integer datapath.
 
-    Segment selection uses the dequantized breakpoint positions; the output
-    is slope*x + intercept with the stored fixed-point parameter values.
+    The stored mantissas are scaled back exactly: breakpoints at the
+    table's scale exponent (at -frac_bits for a wide-range table), slopes
+    and intercepts at -frac_bits. Segment selection compares x with the
+    scaled breakpoints; the output is slope*x + intercept in float.
     """
+    e = -qtable.frac_bits if qtable.scale is None else qtable.scale.exponent
     y = eval_segments(
-        np.asarray(qtable.breakpoints_real), np.asarray(qtable.slopes_real),
-        np.asarray(qtable.intercepts_real), x,
+        np.ldexp(qtable.breakpoints_q, e), np.ldexp(qtable.slopes_fxp, -qtable.frac_bits),
+        np.ldexp(qtable.intercepts_fxp, -qtable.frac_bits), x,
     )
     return float(y) if np.isscalar(x) else y
 

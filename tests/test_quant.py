@@ -180,8 +180,8 @@ def test_fxp_quantize_table_rounds_breakpoints():
         spec=DIV,
     )
     qt = fxp_quantize_table(table)
-    assert qt.breakpoints_real[0] == 0.53125  # nearest multiple of 1/32
-    assert qt.breakpoints_real[1] == 1.0  # on-grid values unchanged
+    assert qt.breakpoints_q[0] == 17  # 0.53125, the nearest multiple of 1/32
+    assert qt.breakpoints_q[1] == 32  # 1.0: on-grid values unchanged
     assert qt.scale is None
 
 
@@ -379,10 +379,12 @@ def test_eval_qpwl_real_wide_range_matches_dequantized_params():
     qt = fxp_quantize_table(table)
     xs = np.linspace(0.5, 4.0, 57)
     ys = eval_qpwl_real(qt, xs)
+    breakpoints = [math.ldexp(b, -qt.frac_bits) for b in qt.breakpoints_q]
     for x, y in zip(xs, ys):
-        idx = int(np.searchsorted(qt.breakpoints_real, x, side="right"))
+        idx = int(np.searchsorted(breakpoints, x, side="right"))
         assert y == pytest.approx(
-            qt.slopes_real[idx] * x + qt.intercepts_real[idx], abs=1e-15
+            math.ldexp(qt.slopes_fxp[idx], -qt.frac_bits) * x
+            + math.ldexp(qt.intercepts_fxp[idx], -qt.frac_bits), abs=1e-15
         )
 
 
