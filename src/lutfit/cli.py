@@ -26,6 +26,18 @@ from .pwl import PwlTable, fitness_mse, fitness_scorer, fxp_round_table
 from .quant import PowTwoScale, QPwlTable, check_format, fxp_quantize_table, quantize_table
 
 
+def _write_csv(path: str, header, rows):
+    """atomic_write of a CSV file. csv is imported here, so that an export
+    never loads it."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue())
+
+
 def _fit_one(spec, frac_bits, ga_cfg, seed):
     log: list = []
     table = fxp_round_table(evolve(spec, ga_cfg, seed, log=log), frac_bits)
@@ -71,14 +83,8 @@ def cmd_fit(cfg: RunConfig, jobs: int = 1) -> list[str]:
     write_fit_artifact(best_path, best_table, Provenance(chash, best_seed))
     written.append(best_path)
 
-    import csv  # here and in cmd_eval, so that export never loads it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["seed", "generation", "best_mse"])
-    writer.writerows(log_rows)
     log_path = os.path.join(cfg.out_dir, f"{stem}_fitlog.csv")
-    atomic_write(log_path, buf.getvalue())
+    _write_csv(log_path, ["seed", "generation", "best_mse"], log_rows)
     written.append(log_path)
     return written
 
@@ -119,16 +125,10 @@ def cmd_eval(cfg: RunConfig, table_path: str, artifact=None) -> list[str]:
         "provenance": provenance.to_dict(),
     }
     if table.spec.scale_carrying:
-        import csv
-
         report = sweep_scales(table, cfg.scale_exponents, cfg.datapath)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["scale_exp", "mse"])
-        for e, mse in report.per_scale:
-            writer.writerow([e, repr(mse)])
         csv_path = os.path.join(cfg.out_dir, f"{stem}_scales.csv")
-        atomic_write(csv_path, buf.getvalue())
+        _write_csv(csv_path, ["scale_exp", "mse"],
+                   ((e, repr(mse)) for e, mse in report.per_scale))
         written.append(csv_path)
         summary["per_scale"] = {str(e): mse for e, mse in report.per_scale}
         summary["average_mse"] = report.average_mse
