@@ -304,9 +304,10 @@ def config_from_dict(data: dict) -> RunConfig:
         )
     with naming():
         spec = cfg.spec()
-    # the GA repairs every individual into the range at the minimum gap
+    # the GA repairs every individual into the range at the minimum gap;
+    # points crowded at the top take the longest fixup, the worst case
     with naming("search_range"):
-        repair_points([spec.search_range[0]] * ga.n_breakpoints, spec.search_range)
+        repair_points([spec.search_range[1]] * ga.n_breakpoints, spec.search_range)
     # The GA places a breakpoint up to MIN_GAP below the range's top; a
     # wide-range breakpoint is a mantissa at lambda in the signed input.
     top = spec.search_range[1] - MIN_GAP

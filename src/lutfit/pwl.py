@@ -38,19 +38,24 @@ class BreakpointSet:
     points: tuple[float, ...]
 
 
+def _narrow_range(lo: float, hi: float, n: int) -> GapError:
+    return GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {MIN_GAP}")
+
+
 def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...]:
     """Sort values and enforce the minimum spacing MIN_GAP inside the range.
 
     Points are clipped MIN_GAP inside the range ends (the ends act as
     virtual interpolation nodes), then pushed apart left-to-right with a
-    right-to-left fixup if the last point overflows. Plain float arithmetic:
+    right-to-left fixup if the last point overflows. A range too narrow for
+    n points at that spacing is a GapError. Plain float arithmetic:
     the inputs are a handful of points, where numpy's per-call overhead
     would dominate.
     """
     lo, hi = search_range
     n = len(values)
     if hi - lo < (n + 1) * MIN_GAP:
-        raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {MIN_GAP}")
+        raise _narrow_range(lo, hi, n)
     floor, ceil = lo + MIN_GAP, hi - MIN_GAP
     # np.clip as comparisons (builtin min/max calls cost twice as much); the
     # range check above keeps floor <= ceil, so one pass gives clip's result
@@ -59,12 +64,23 @@ def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...
         if pts[k] < pts[k - 1] + MIN_GAP:
             pts[k] = pts[k - 1] + MIN_GAP
     if pts[-1] > ceil:
+        # Each point the fixup moves becomes the largest float that the pass
+        # above leaves in place below its right neighbour (p[k+1] - MIN_GAP
+        # can round so that adding MIN_GAP back overshoots), which makes
+        # every result a fixed point of the repair.
         pts[-1] = ceil
         for k in range(n - 2, -1, -1):
-            if pts[k] > pts[k + 1] - MIN_GAP:
-                pts[k] = pts[k + 1] - MIN_GAP
-            else:
+            right = pts[k + 1]
+            if pts[k] + MIN_GAP <= right:
                 break
+            p = right - MIN_GAP
+            while p + MIN_GAP > right:
+                p = math.nextafter(p, -math.inf)
+            pts[k] = p
+        # a range within rounding of (n + 1) * MIN_GAP can push the chain
+        # below the floor
+        if pts[0] < floor:
+            raise _narrow_range(lo, hi, n)
     return tuple(pts)
 
 

@@ -152,6 +152,10 @@ MALFORMED_CONFIG = {
     # the GA repairs every individual into the range at the minimum gap
     "search_range-too-narrow": ({"function": "gelu", "search_range": [0, 0.1]},
                                 "invalid field search_range:"),
+    # wide enough for the gaps, but the fixup rounds below the floor
+    "search_range-rounds-too-narrow": ({"function": "gelu",
+                                        "search_range": [0.25, 0.41000000000000003]},
+                                       "invalid field search_range:"),
     # no setting is accepted and then ignored
     "scale_exponents-wide-range": ({"function": "div", "scale_exponents": [-3]},
                                    "invalid field scale_exponents:"),

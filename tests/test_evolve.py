@@ -347,10 +347,13 @@ def reference_repair_points(values, search_range, min_gap=MIN_GAP):
     if pts[-1] > hi - min_gap:
         pts[-1] = hi - min_gap
         for k in range(n - 2, -1, -1):
-            if pts[k] > pts[k + 1] - min_gap:
-                pts[k] = pts[k + 1] - min_gap
-            else:
+            if pts[k] + min_gap <= pts[k + 1]:
                 break
+            pts[k] = pts[k + 1] - min_gap
+            while pts[k] + min_gap > pts[k + 1]:
+                pts[k] = np.nextafter(pts[k], -np.inf)
+        if pts[0] < lo + min_gap:
+            raise GapError(f"range ({lo}, {hi}) cannot hold {n} points at gap {min_gap}")
     return pts
 
 
@@ -459,6 +462,7 @@ def repair_outcome(fn, values, search_range):
 @example(((-4.0, 4.0), [3.99, -7.0, 3.999, 0.5]))  # clipped at both ends
 @example(((0.5, 4.0), [0.5, 0.5, 0.51, 4.0, 4.0]))
 @example(((-4.0, 4.0), [0.0] * 500))  # overfull range
+@example(((0.25, 0.41000000000000003), [0.41] * 7))  # the fixup rounds below the floor
 def test_repair_points_matches_reference(case):
     search_range, values = case
     assert repair_outcome(repair_points, values, search_range) == repair_outcome(
