@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from lutfit._fields import FieldError
+from lutfit.config import ConfigError, config_from_dict
 from lutfit.nonlin import Kind, NonLinSpec, default_spec, eval_ref
 from lutfit.pwl import (
     FITNESS_STEP,
@@ -256,6 +257,45 @@ def test_repair_points_noop_on_valid_input(kind, weights):
     pts = np.array(pts[1:])
     assert pts[-1] < hi - MIN_GAP
     assert np.array_equal(repair_points(pts, (lo, hi)), pts)
+
+
+STOCK_RANGES = sorted({default_spec(kind).search_range for kind in Kind})
+
+
+@st.composite
+def crowded_repairs(draw):
+    """(search range, values) for 7 or 15 points: a stock range, or a range a
+    gelu config accepts, down to the narrowest and with its top near zero,
+    where the fixup's chain crosses it; values mostly crowded under the top,
+    so the right-to-left fixup runs."""
+    n = draw(st.sampled_from([7, 15]))
+    if draw(st.booleans()):
+        lo, hi = draw(st.sampled_from(STOCK_RANGES))
+    else:
+        hi = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-MIN_GAP, (n + 2) * MIN_GAP)))
+        slack = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 8.0)))
+        lo = hi - (n + 1) * MIN_GAP - slack
+        try:
+            config_from_dict({"function": "gelu", "entries": n + 1, "search_range": [lo, hi]})
+        except ConfigError:
+            reject()
+    crowd = st.floats(hi - (n + 2) * MIN_GAP, hi)
+    values = draw(st.lists(st.one_of(crowd, crowd, st.floats(lo, hi)), min_size=n, max_size=n))
+    return (lo, hi), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_repairs())
+# chains that cross zero, on a range a few ulps over the narrowest and on a
+# wider one: before each moved point was kept in place, a second repair
+# moved these again
+@example(((-0.16, 0.16000000000000011), [0.2] * 15))
+@example(((-0.16, 0.1639), [0.2] * 15))
+def test_repair_points_is_idempotent(case):
+    search_range, values = case
+    out = repair_points(values, search_range)
+    assert out[0] >= search_range[0] + MIN_GAP
+    assert [p.hex() for p in repair_points(out, search_range)] == [p.hex() for p in out]
 
 
 def test_repair_memo_keeps_signed_zero_bits():
