@@ -15,7 +15,9 @@ scored in one numpy batch; the rest reuse that generation's scores. Scoring
 draws nothing from the RNG, so neither the batch nor the memo changes a draw
 or a result. Variation runs on plain float tuples: with a handful of
 breakpoints per individual, numpy's per-call overhead would cost more than
-the arithmetic.
+the arithmetic. A crossover child equal to a parent, and a rounding
+mutation that keeps no snap, return the parent itself: every individual is
+a repair output, which a second repair leaves unchanged.
 
 The RNG is numpy's counter-based Philox, so a (spec, config, seed) triple fixes the
 returned table bit-exactly on any platform.
@@ -101,8 +103,8 @@ def crossover(
 ) -> tuple[BreakpointSet, BreakpointSet]:
     """Exchange a contiguous index range between two parents.
 
-    Both ends of the range (inclusive) are drawn uniformly. Children are
-    re-sorted and repaired.
+    Both ends of the range (inclusive) are drawn uniformly. A child equal
+    to a parent is that parent; the others are re-sorted and repaired.
     """
     pa, pb = a.points, b.points
     n = len(pa)
@@ -115,10 +117,22 @@ def crossover(
         i, j = j, i
     child_a = pa[:i] + pb[i : j + 1] + pa[j + 1 :]
     child_b = pb[:i] + pa[i : j + 1] + pb[j + 1 :]
-    return (
-        repaired_breakpoints(child_a, search_range),
-        repaired_breakpoints(child_b, search_range),
-    )
+    return _child(child_a, a, b, search_range), _child(child_b, a, b, search_range)
+
+
+def _child(points: tuple, a: BreakpointSet, b: BreakpointSet, search_range) -> BreakpointSet:
+    """A crossover child: the parent whose points it equals, or its repair.
+
+    A parent is a repair output, which repair_points returns unchanged.
+    Equal floats have equal bits except 0.0 and -0.0, so a child holding a
+    zero is always repaired.
+    """
+    if 0.0 not in points:
+        if points == a.points:
+            return a
+        if points == b.points:
+            return b
+    return repaired_breakpoints(points, search_range)
 
 
 def gaussian_mutate(
@@ -155,10 +169,12 @@ def rounding_mutate(
     would land within the minimum gap of a neighbour (or outside the range)
     is reverted rather than pushed apart: pushing would strand the value
     just off its grid and waste a segment on a near-duplicate breakpoint.
-    The result is re-sorted and spacing-repaired as a final guard.
+    With no snap kept the parent is returned; otherwise the result is
+    re-sorted and spacing-repaired as a final guard.
     """
     out = list(p.points)
     lo, hi = search_range
+    snapped_any = False
     draws = rng.random(len(out)).tolist()
     for idx, rand_p in enumerate(draws):
         i = _rm_exponent(rand_p, cfg.rm_prob, cfg.rm_range)
@@ -170,7 +186,8 @@ def rounding_mutate(
         if any([abs(v - snapped) < MIN_GAP for v in out[:idx] + out[idx + 1 :]]):
             continue
         out[idx] = snapped
-    return repaired_breakpoints(out, search_range)
+        snapped_any = True
+    return repaired_breakpoints(out, search_range) if snapped_any else p
 
 
 def _tournament_picks(fitnesses, rng: np.random.Generator) -> list[int]:

@@ -84,26 +84,9 @@ def repair_points(values, search_range: tuple[float, float]) -> tuple[float, ...
     return tuple(pts)
 
 
-# About two stock generations of crossover children, most of which repeat
-# a recent tuple under rounding mutation.
-@functools.lru_cache(maxsize=256)
-def _repair_memo(values, search_range) -> BreakpointSet:
-    return BreakpointSet(repair_points(values, search_range))
-
-
 def repaired_breakpoints(values, search_range) -> BreakpointSet:
-    """The BreakpointSet of repair_points(values, search_range).
-
-    Equal inputs share one (frozen) result from a bounded memo. The memo
-    compares floats by value, and 0.0 == -0.0 under one hash, so values
-    holding a zero bypass it. Ranges that compare equal (4 and 4.0, 0.0 and
-    -0.0) give the same points bit for bit: a point is an input value, or a
-    range end or a neighbour moved by MIN_GAP.
-    """
-    values = tuple(values)
-    if 0.0 in values:
-        return BreakpointSet(repair_points(values, search_range))
-    return _repair_memo(values, search_range)
+    """The BreakpointSet of repair_points(values, search_range)."""
+    return BreakpointSet(repair_points(values, search_range))
 
 
 @dataclass(frozen=True)

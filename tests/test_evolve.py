@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,28 @@ def test_crossover_all_spans_preserve_invariants():
             assert out_a.points == a.points[:lo] + b.points[lo:hi] + a.points[hi:]
 
 
+def test_crossover_child_equal_to_a_parent_is_that_parent():
+    a = bset([-3, 1, 3])
+    b = bset([-2, 1, 2])
+    # exchanging the equal middle points leaves each parent as it was
+    out_a, out_b = crossover(a, b, RANGE, ScriptedRng(1, 1))
+    assert out_a is a and out_b is b
+    # exchanging everything swaps them
+    out_a, out_b = crossover(a, b, RANGE, ScriptedRng(0, 2))
+    assert out_a is b and out_b is a
+
+
+def test_crossover_child_keeps_signed_zero_bits():
+    # 0.0 == -0.0, so a child holding -0.0 where its parent holds 0.0
+    # compares equal to it, but must keep its own bits
+    for zero in (0.0, -0.0):
+        a = bset([-1.0, zero, 1.0])
+        b = bset([-1.0, -zero, 1.0])
+        out_a, out_b = crossover(a, b, RANGE, ScriptedRng(1, 1))
+        assert math.copysign(1.0, out_a.points[1]) == math.copysign(1.0, -zero)
+        assert math.copysign(1.0, out_b.points[1]) == math.copysign(1.0, zero)
+
+
 def test_crossover_rejects_mismatched_parents():
     with pytest.raises(ValueError):
         crossover(bset([-1, 1]), bset([-1, 0, 1]), RANGE, make_rng(0))
@@ -183,6 +206,12 @@ def test_rounding_mutate_zero_prob_is_identity():
     cfg = GaConfig(n_breakpoints=3, rm_prob=0.0)
     p = bset([-2.123, 0.456, 2.789])
     assert rounding_mutate(p, cfg, RANGE, make_rng(4)) == p
+
+
+def test_rounding_mutate_without_a_kept_snap_is_the_parent():
+    cfg = GaConfig(n_breakpoints=3, rm_prob=0.0)
+    p = bset([-2.123, 0.456, 2.789])
+    assert rounding_mutate(p, cfg, RANGE, make_rng(4)) is p
 
 
 def test_rounding_mutate_fixed_points_on_grid():
@@ -437,10 +466,12 @@ def repair_cases(draw):
 
 @st.composite
 def individuals(draw, spec, n):
+    """A GA individual of spec: n drawn points, repaired as evolve repairs
+    every individual it hands the variation operators."""
     lo, hi = spec.search_range
     inside = range_values(lo, hi).map(lambda v: min(max(v, lo), hi))
     points = draw(st.lists(inside, min_size=n, max_size=n, unique=True))
-    return BreakpointSet(points=tuple(sorted(points)))
+    return BreakpointSet(repair_points(points, spec.search_range))
 
 
 @st.composite
