@@ -15,9 +15,7 @@ scored in one numpy batch; the rest reuse that generation's scores. Scoring
 draws nothing from the RNG, so neither the batch nor the memo changes a draw
 or a result. Variation runs on plain float tuples: with a handful of
 breakpoints per individual, numpy's per-call overhead would cost more than
-the arithmetic. A crossover child equal to a parent, and a rounding
-mutation that keeps no snap, return the parent itself: every individual is
-a repair output, which a second repair leaves unchanged.
+the arithmetic.
 
 The RNG is numpy's counter-based Philox, so a (spec, config, seed) triple fixes the
 returned table bit-exactly on any platform.
@@ -120,7 +118,9 @@ def crossover(
     return _child(child_a, a, b, search_range), _child(child_b, a, b, search_range)
 
 
-def _child(points: tuple, a: BreakpointSet, b: BreakpointSet, search_range) -> BreakpointSet:
+def _child(
+    points: tuple, a: BreakpointSet, b: BreakpointSet, search_range: tuple[float, float]
+) -> BreakpointSet:
     """A crossover child: the parent whose points it equals, or its repair.
 
     A parent is a repair output, which repair_points returns unchanged.

@@ -287,8 +287,8 @@ def crowded_repairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(crowded_repairs())
 # chains that cross zero, on a range a few ulps over the narrowest and on a
-# wider one: before each moved point was kept in place, a second repair
-# moved these again
+# wider one: there p[k+1] - MIN_GAP can round so that adding MIN_GAP back
+# overshoots p[k+1]
 @example(((-0.16, 0.16000000000000011), [0.2] * 15))
 @example(((-0.16, 0.1639), [0.2] * 15))
 def test_repair_points_is_idempotent(case):
