@@ -13,9 +13,10 @@ one walked in the same or the previous generation. After the walk, the
 distinct recorded tuples that the previous generation did not score are
 scored in one numpy batch; the rest reuse that generation's scores. Scoring
 draws nothing from the RNG, so neither the batch nor the memo changes a draw
-or a result. Variation runs on plain float tuples: with a handful of
-breakpoints per individual, numpy's per-call overhead would cost more than
-the arithmetic.
+or a result. A crossover child is repaired only when one of its two
+junctions breaks the minimum gap. Variation runs on plain float tuples:
+with a handful of breakpoints per individual, numpy's per-call overhead
+would cost more than the arithmetic.
 
 The RNG is numpy's counter-based Philox, so a (spec, config, seed) triple fixes the
 returned table bit-exactly on any platform.
@@ -101,8 +102,8 @@ def crossover(
 ) -> tuple[BreakpointSet, BreakpointSet]:
     """Exchange a contiguous index range between two parents.
 
-    Both ends of the range (inclusive) are drawn uniformly. A child equal
-    to a parent is that parent; the others are re-sorted and repaired.
+    Both ends of the range (inclusive) are drawn uniformly; a child is
+    repaired only where a junction fails repair's spacing test.
     """
     pa, pb = a.points, b.points
     n = len(pa)
@@ -113,38 +114,31 @@ def crossover(
     i, j = int(rng.integers(n)), int(rng.integers(n))
     if j < i:
         i, j = j, i
-    child_a = pa[:i] + pb[i : j + 1] + pa[j + 1 :]
-    child_b = pb[:i] + pa[i : j + 1] + pb[j + 1 :]
-    return _child(child_a, a, b, search_range), _child(child_b, a, b, search_range)
+    return _child(pa, pb, i, j, search_range), _child(pb, pa, i, j, search_range)
 
 
 def _child(
-    points: tuple, a: BreakpointSet, b: BreakpointSet, search_range: tuple[float, float]
+    p: tuple, q: tuple, i: int, j: int, search_range: tuple[float, float]
 ) -> BreakpointSet:
-    """A crossover child: the parent whose points it equals, or its repair.
-
-    A parent is a repair output, which repair_points returns unchanged.
-    Equal floats have equal bits except 0.0 and -0.0, so a child holding a
-    zero is always repaired.
-    """
-    if 0.0 not in points:
-        if points == a.points:
-            return a
-        if points == b.points:
-            return b
+    """The child p[:i] + q[i:j+1] + p[j+1:] of two repair outputs. Their points
+    lie inside repair_points' clip and pass its left-to-right spacing test, so
+    where both junctions pass too, repair would return the child unchanged."""
+    points = p[:i] + q[i : j + 1] + p[j + 1 :]
+    if (i == 0 or not q[i] < p[i - 1] + MIN_GAP) and (
+        j == len(p) - 1 or not p[j + 1] < q[j] + MIN_GAP
+    ):
+        return BreakpointSet(points)
     return repaired_breakpoints(points, search_range)
 
 
 def gaussian_mutate(
     p: BreakpointSet, sigma: float, search_range: tuple[float, float], rng: np.random.Generator
 ) -> BreakpointSet:
-    """Perturb every breakpoint with N(0, sigma^2), clip to the range, repair."""
+    """Perturb every breakpoint with N(0, sigma^2); repair clips them to the range."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lo, hi = search_range
     noise = rng.normal(0.0, sigma, size=len(p.points)).tolist()
-    noisy = [min(max(x + e, lo), hi) for x, e in zip(p.points, noise)]
-    return repaired_breakpoints(noisy, search_range)
+    return repaired_breakpoints([x + e for x, e in zip(p.points, noise)], search_range)
 
 
 def _rm_exponent(rand_p: float, rm_prob: float, rm_range: tuple[int, int]) -> int | None:
