@@ -29,7 +29,7 @@ from enum import Enum
 
 from ._fields import FieldError
 from ._lazy import lazy_import
-from .fxp import fxp_round
+from .fxp import MAX_ACC_BITS, fxp_round
 from .nonlin import NonLinSpec
 from .pwl import (
     MIN_GAP,
@@ -70,10 +70,11 @@ class GaConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise FieldError(name, f"{name} must be in [0, 1], got {v}")
+        # bounded as lambda is; near i = 1024 a snap's x * 2^i overflows
         ma, mb = self.rm_range
-        if not (isinstance(ma, int) and isinstance(mb, int) and 0 <= ma <= mb):
-            raise FieldError("rm_range", f"rm_range must be integers 0 <= ma <= mb, "
-                                         f"got {self.rm_range}")
+        if not (isinstance(ma, int) and isinstance(mb, int) and 0 <= ma <= mb <= MAX_ACC_BITS):
+            raise FieldError("rm_range", f"rm_range must be integers 0 <= ma <= mb <= "
+                                         f"{MAX_ACC_BITS}, got {self.rm_range}")
         if (mb - ma + 1) * self.rm_prob > 1.0 + 1e-12:
             raise FieldError("rm_prob", f"(mb - ma + 1) * rm_prob must not exceed 1, "
                                         f"got {self.rm_range} * {self.rm_prob}")
