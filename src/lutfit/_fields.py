@@ -1,10 +1,11 @@
-"""One typed reader for the JSON fields of run configs and artifacts.
+"""One reader for the JSON files of run configs and artifacts, and their fields.
 
 JSON true/false parses as bool, a subclass of int; the reader never takes
 it for a number. A number must be finite as a float, and errors name the
 field by its dotted path, such as plan.sub_ranges[1].exponent.
 """
 
+import json
 import sys
 from contextlib import contextmanager
 
@@ -27,6 +28,19 @@ class FieldError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def read_json(path: str, what: str):
+    """The JSON value of the file at path. A file that is not UTF-8 JSON, or
+    nests deeper than the parser can recurse, is a ConfigError naming the
+    file as what (such as 'config file')."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{what} {path} nests too deeply to read") from None
 
 
 def _matches(value, types: tuple) -> bool:

@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import __version__
-from ._fields import NULL, NUMBER, ConfigError, json_field, naming
+from ._fields import NULL, NUMBER, ConfigError, json_field, naming, read_json
 from .fxp import DatapathConfig
 from .nonlin import Kind, NonLinSpec
 from .pwl import PwlTable
@@ -138,8 +138,7 @@ def read_artifact(path: str):
     The table is a PwlTable for "fit" artifacts and a QPwlTable for
     "qtable" artifacts. A value the table rejects is named by its field.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, "artifact")
     if not isinstance(data, dict):
         raise ConfigError("artifact must be a JSON object")
     json_field(data, "schema_version", int, choices=(SCHEMA_VERSION,))

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from ._fields import NULL, NUMBER, ConfigError, json_field, naming
+from ._fields import NULL, NUMBER, ConfigError, json_field, naming, read_json
 from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
 from .fxp import MAX_ACC_BITS, DatapathConfig, fits, to_mantissa
@@ -328,11 +328,7 @@ def load_config(path: str | None = None, fields: dict | None = None) -> RunConfi
     over it; a section that is not an object is left for the reader to reject."""
     data = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        data = read_json(path, "config file")
     for name, value in (fields or {}).items():
         *sections, key = name.split(".")
         node = data

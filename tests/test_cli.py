@@ -294,6 +294,22 @@ def test_load_config_file(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "{not json"],
+                         ids=["nested", "malformed"])
+def test_main_unreadable_json_names_the_file(tmp_path, capsys, text):
+    # nesting past the parser's recursion exits 2 as a decode error does,
+    # naming the file, never with a traceback
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    for argv, what in ((["fit", "--config", str(path)], "config file"),
+                       (["eval", "--table", str(path)], "artifact")):
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} {path} "), err
+    assert not os.path.exists(out)
+
+
 # --- artifacts -------------------------------------------------------------
 
 
