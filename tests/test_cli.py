@@ -130,8 +130,8 @@ MALFORMED_CONFIG = {
                        "invalid field datapath.frac_bits:"),
     "fxp_frac_bits-1100": ({"function": "gelu", "ga": {"fxp_frac_bits": 1100}},
                            "invalid field ga.fxp_frac_bits:"),
-    # rounding mutation's 2^-i grids are no finer than lambda's; past the
-    # float range, x * 2^i overflowed
+    # rounding mutation's 2^-i grids are no finer than lambda's, which keeps
+    # a snap's x * 2^i inside the float range
     "rm_range-1100": ({"function": "gelu",
                        "ga": {"rm_prob": 0.0001, "rm_range": [1000, 1100], "iterations": 20}},
                       "invalid field ga.rm_range:"),

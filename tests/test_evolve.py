@@ -168,7 +168,7 @@ def counting_repairs(monkeypatch) -> list:
     ((-2.0, 2.99, 3.5), (-2.0, 1.0, 3.5), (-3.0, 2.99, 3.0)),
     # ... or of its left neighbour
     ((-3.5, -2.99, 2.0), (-3.5, 1.0, 2.0), (-3.0, -2.99, 3.0)),
-])
+], ids=["right-junction", "left-junction"])
 def test_crossover_repairs_a_child_only_where_a_junction_breaks_the_gap(
     monkeypatch, b, kept, repaired
 ):
