@@ -13,8 +13,8 @@ from ._fields import NULL, NUMBER, ConfigError, json_field, naming, read_json
 from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
 from .fxp import MAX_ACC_BITS, DatapathConfig, fits, to_mantissa
-from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec
-from .pwl import MIN_GAP, repair_points
+from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec, ref_float
+from .pwl import FITNESS_STEP, MAX_GRID_INTERVALS, MIN_GAP, repair_points
 from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 
 SCHEMA_VERSION = 1
@@ -304,6 +304,20 @@ def config_from_dict(data: dict) -> RunConfig:
         )
     with naming():
         spec = cfg.spec()
+    # the fit interpolates the reference at the range ends and lays
+    # grid-sized arrays over the range
+    lo, hi = spec.search_range
+    for x in (lo, hi):
+        if not math.isfinite(ref_float(spec, x)):
+            raise ConfigError(
+                f"invalid field search_range: {function.value}({x}) is not a finite number"
+            )
+    if not (hi - lo) / FITNESS_STEP <= MAX_GRID_INTERVALS:
+        raise ConfigError(
+            f"invalid field search_range: {list(spec.search_range)} spans "
+            f"{(hi - lo) / FITNESS_STEP:.4g} fitness-grid steps of {FITNESS_STEP}, "
+            f"more than {MAX_GRID_INTERVALS}"
+        )
     # the GA repairs every individual into the range at the minimum gap;
     # points crowded at the top take the longest fixup, the worst case
     with naming("search_range"):

@@ -18,18 +18,22 @@ junctions breaks the minimum gap. Variation runs on plain float tuples:
 with a handful of breakpoints per individual, numpy's per-call overhead
 would cost more than the arithmetic.
 
-The RNG is numpy's counter-based Philox, so a (spec, config, seed) triple fixes the
-returned table bit-exactly on any platform.
+The RNG is numpy's counter-based Philox. The GA decodes its own doubles and
+bounded integers from Philox's raw 64-bit words, with the rules numpy's
+Generator uses, so the draws are the Generator's bit for bit; only the
+uniform and normal draws are left to numpy.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
 from ._fields import FieldError
 from ._lazy import lazy_import
-from .fxp import MAX_ACC_BITS, fxp_round
+from .fxp import MAX_ACC_BITS, round_half_up
 from .nonlin import NonLinSpec
 from .pwl import (
     MIN_GAP,
@@ -85,12 +89,104 @@ class GaConfig:
                              f"gaussian_sigma must be positive, got {self.gaussian_sigma}")
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+class PhiloxRng:
+    """The draws of np.random.Generator(np.random.Philox(seed)), with the
+    doubles and the bounded integers decoded from Philox's raw words.
+
+    Per-call overhead is most of the cost of a Generator's scalar integer
+    draw; Python arithmetic on a random_raw word costs less. A double is the
+    top 53 bits of a word times 2^-53. An integer below n <= 2^32 is
+    Lemire's method on a 32-bit half-word: the low half of a word goes
+    first and the high half is carried to the next integer draw, scalar or
+    sized. uniform, normal and wider integer ranges are numpy's, on the
+    same bit generator; they take whole words and leave the carried half
+    alone, as numpy's do. No call draws ahead of what it returns.
+    """
+
+    __slots__ = ("_raw", "_gen", "_half")
+
+    def __init__(self, seed: int):
+        bit_generator = np.random.Philox(seed)
+        self._raw = bit_generator.random_raw
+        self._gen = np.random.Generator(bit_generator)
+        self._half = None
+
+    def random(self, size=None):
+        """A uniform double in [0, 1), or a list of size of them."""
+        if size is None:
+            return (self._raw() >> 11) * 2**-53
+        return [(word >> 11) * 2**-53 for word in self._raw(size).tolist()]
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._gen.uniform(low, high, size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return self._gen.normal(loc, scale, size)
+
+    def integers(self, low, high=None, size=None):
+        """Uniform integers in [low, high), or in [0, low) without high.
+
+        Below n = high - low <= 2^32 this is numpy's 32-bit Lemire method,
+        which redraws a half-word whose low product bits fall below
+        (2^32 - n) % n.
+        """
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if not 0 < n <= 2**32:
+            return self._gen.integers(low, high, size)
+        if size is not None:
+            return low + self._bounded_block(n, size)
+        if n == 1:
+            return low
+        threshold = (2**32 - n) % n
+        while True:
+            half = self._half
+            if half is None:
+                word = self._raw()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * n
+            if m & 0xFFFFFFFF >= threshold:
+                return low + (m >> 32)
+
+    def _bounded_block(self, n: int, size) -> np.ndarray:
+        """An array of integers(n) draws, decoded from one block of words.
+
+        Lemire's method rejects a half-word by its own value, so the draws
+        are the accepted ones of the halves in stream order; a rejection
+        leaves the block short, and scalar draws fill it.
+        """
+        out = np.zeros(size, dtype=np.int64)
+        flat = out.reshape(-1)
+        count = flat.size
+        if n == 1 or count == 0:
+            return out
+        carry = self._half
+        words = self._raw((count - (carry is not None) + 1) // 2)
+        halves = np.empty(1 + 2 * words.size, dtype=np.uint64)
+        halves[0] = carry or 0
+        # a little-endian word's two 32-bit halves are its low half, then its high
+        halves[1:] = words.astype("<u8", copy=False).view("<u4")
+        stream = halves if carry is not None else halves[1:]
+        self._half = int(stream[count]) if stream.size > count else None
+        # numpy scalars, not Python ints, keep these on numpy's fast loops
+        m = stream[:count] * np.uint64(n)
+        kept = (m >> np.uint64(32))[m & np.uint64(0xFFFFFFFF) >= np.uint64((2**32 - n) % n)]
+        flat[: kept.size] = kept
+        for k in range(kept.size, count):
+            flat[k] = self.integers(n)
+        return out
+
+
+def make_rng(seed: int) -> PhiloxRng:
+    return PhiloxRng(seed)
 
 
 def init_population(
-    cfg: GaConfig, spec: NonLinSpec, rng: np.random.Generator
+    cfg: GaConfig, spec: NonLinSpec, rng: PhiloxRng
 ) -> list[BreakpointSet]:
     """Uniform random breakpoint sets, sorted and spacing-repaired."""
     draws = rng.uniform(*spec.search_range, size=(cfg.population_size, cfg.n_breakpoints))
@@ -99,7 +195,7 @@ def init_population(
 
 def crossover(
     a: BreakpointSet, b: BreakpointSet, search_range: tuple[float, float],
-    rng: np.random.Generator,
+    rng: PhiloxRng,
 ) -> tuple[BreakpointSet, BreakpointSet]:
     """Exchange a contiguous index range between two parents.
 
@@ -110,9 +206,9 @@ def crossover(
     n = len(pa)
     if len(pb) != n:
         raise ValueError(f"parents differ in size: {n} vs {len(pb)}")
-    # two scalar draws make the same bit-generator calls as one size=2
-    # draw, without its np.prod over the size
-    i, j = int(rng.integers(n)), int(rng.integers(n))
+    # two scalar draws take the same half-words as one size=2 draw, without
+    # building its array
+    i, j = rng.integers(n), rng.integers(n)
     if j < i:
         i, j = j, i
     return _child(pa, pb, i, j, search_range), _child(pb, pa, i, j, search_range)
@@ -133,7 +229,7 @@ def _child(
 
 
 def gaussian_mutate(
-    p: BreakpointSet, sigma: float, search_range: tuple[float, float], rng: np.random.Generator
+    p: BreakpointSet, sigma: float, search_range: tuple[float, float], rng: PhiloxRng
 ) -> BreakpointSet:
     """Perturb every breakpoint with N(0, sigma^2); repair clips them to the range."""
     if sigma <= 0:
@@ -155,37 +251,56 @@ def _rm_exponent(rand_p: float, rm_prob: float, rm_range: tuple[int, int]) -> in
     return i if ma <= i <= mb else None
 
 
+# 2^i for each grid exponent i that GaConfig accepts in rm_range
+_GRID_SCALES = tuple(math.ldexp(1.0, i) for i in range(MAX_ACC_BITS + 1))
+
+
 def rounding_mutate(
-    p: BreakpointSet, cfg: GaConfig, search_range: tuple[float, float], rng: np.random.Generator
+    p: BreakpointSet, cfg: GaConfig, search_range: tuple[float, float], rng: PhiloxRng
 ) -> BreakpointSet:
     """Snap randomly chosen breakpoints onto 2^-i grids, i in rm_range.
 
-    Elements whose draw selects no grid pass through unchanged. A snap that
-    would land within the minimum gap of a neighbour (or outside the range)
-    is reverted rather than pushed apart: pushing would strand the value
-    just off its grid and waste a segment on a near-duplicate breakpoint.
-    With no snap kept the parent is returned; otherwise the result is
-    re-sorted and spacing-repaired as a final guard.
+    Elements whose draw selects no grid pass through unchanged, and so does
+    a nonzero element already on its grid: that snap moves nothing. (-0.0
+    snaps to +0.0, so a zero always snaps.) A snap that would land within
+    the minimum gap of a neighbour (or outside the range) is reverted rather
+    than pushed apart: pushing would strand the value just off its grid and
+    waste a segment on a near-duplicate breakpoint. With no snap kept the
+    parent is returned; otherwise the result is re-sorted and
+    spacing-repaired as a final guard.
     """
     out = list(p.points)
+    # the points in ascending order: float subtraction is monotone, so the
+    # nearest neighbour on each side decides the gap test
+    ordered = list(p.points)
     lo, hi = search_range
+    floor, ceil = lo + MIN_GAP, hi - MIN_GAP
+    rm_prob, rm_range = cfg.rm_prob, cfg.rm_range
     snapped_any = False
-    draws = rng.random(len(out)).tolist()
-    for idx, rand_p in enumerate(draws):
-        i = _rm_exponent(rand_p, cfg.rm_prob, cfg.rm_range)
+    for idx, rand_p in enumerate(rng.random(len(out))):
+        i = _rm_exponent(rand_p, rm_prob, rm_range)
         if i is None:
             continue
-        snapped = fxp_round(out[idx], i)
-        if not (lo + MIN_GAP <= snapped <= hi - MIN_GAP):
+        x = out[idx]
+        scale = _GRID_SCALES[i]
+        snapped = round_half_up(x * scale) / scale
+        if (snapped == x and x != 0) or not floor <= snapped <= ceil:
             continue
-        if any([abs(v - snapped) < MIN_GAP for v in out[:idx] + out[idx + 1 :]]):
+        k = bisect_left(ordered, x)
+        del ordered[k]
+        at = bisect_left(ordered, snapped)
+        if (at and snapped - ordered[at - 1] < MIN_GAP) or (
+            at < len(ordered) and ordered[at] - snapped < MIN_GAP
+        ):
+            ordered.insert(k, x)
             continue
+        ordered.insert(at, snapped)
         out[idx] = snapped
         snapped_any = True
     return repaired_breakpoints(out, search_range) if snapped_any else p
 
 
-def _tournament_picks(fitnesses, rng: np.random.Generator) -> list[int]:
+def _tournament_picks(fitnesses, rng: PhiloxRng) -> list[int]:
     """Winner indices of len(fitnesses) independent 3-way tournaments (lower
     MSE wins, ties to the lowest index)."""
     n = len(fitnesses)
@@ -239,24 +354,29 @@ def evolve(spec: NonLinSpec, cfg: GaConfig, seed: int, log: list | None = None) 
     lo, hi = search_range = spec.search_range
     sigma = 0.05 * (hi - lo) if cfg.gaussian_sigma is None else cfg.gaussian_sigma
     n = cfg.population_size
+    # a lone individual has no partner; rand_c < 0.0 never holds
+    cross_prob = cfg.cross_prob if n > 1 else 0.0
+    mutate_prob = cfg.mutate_prob
+    rounding = cfg.mutation_kind is MutationKind.ROUNDING
+    random, integers = rng.random, rng.integers
     walked = [None] * n
     scores = {}
 
     for gen in range(cfg.iterations):
         for i in range(n):
             walked[i] = inds[i].points
-            rand_c = rng.random()
-            rand_m = rng.random()
-            if rand_c < cfg.cross_prob and n > 1:
-                j = int(rng.integers(n - 1))
+            rand_c = random()
+            rand_m = random()
+            if rand_c < cross_prob:
+                j = integers(n - 1)
                 if j >= i:
                     j += 1
                 inds[i], inds[j] = crossover(inds[i], inds[j], search_range, rng)
-            if rand_m < cfg.mutate_prob:
-                if cfg.mutation_kind is MutationKind.GAUSSIAN:
-                    inds[i] = gaussian_mutate(inds[i], sigma, search_range, rng)
-                else:
+            if rand_m < mutate_prob:
+                if rounding:
                     inds[i] = rounding_mutate(inds[i], cfg, search_range, rng)
+                else:
+                    inds[i] = gaussian_mutate(inds[i], sigma, search_range, rng)
         fitness, scores = _score_walk(scorer, walked, scores)
         if log is not None:
             log.append((gen, min(fitness)))

@@ -94,3 +94,22 @@ def eval_ref(spec: NonLinSpec, x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def ref_float(spec: NonLinSpec, x: float) -> float:
+    """The reference at one point in Python float arithmetic, with inf where
+    it overflows. It loads no numpy, for the config reader's checks; eval_ref
+    gives the values that tables are fit and measured against."""
+    kind = spec.kind
+    if kind is Kind.GELU:
+        return x * 0.5 * (1.0 + math.erf(x * _INV_SQRT2))
+    if kind is Kind.HSWISH:
+        return x * min(max(x + 3.0, 0.0), 6.0) / 6.0
+    if kind is Kind.EXP:
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+    if kind is Kind.DIV:
+        return 1.0 / x
+    return 1.0 / math.sqrt(x)

@@ -25,6 +25,9 @@ np = lazy_import("numpy")
 # well defined after mutation.
 FITNESS_STEP = 0.01
 MIN_GAP = 2 * FITNESS_STEP
+# The most FITNESS_STEP intervals the config reader lets a range span: each
+# scored row lays grid-sized arrays over it, 0.5 MB apiece at the cap.
+MAX_GRID_INTERVALS = 2**16
 
 
 class GapError(ValueError):
@@ -188,21 +191,23 @@ class FitnessScorer:
         """Grid MSE of each row's table: (m, n) breakpoints, (m, n+1) slopes
         and intercepts.
 
-        Grid point g lies in segment #{k : points[k] <= xs[g]}, which is
-        #{k : first[k] <= g} with first = the index of the first grid point
-        at or right of points[k]. Offsetting row r's first indices and grid
-        indices by r * (grid size + 1) orders all rows in one sorted array,
-        so one integer searchsorted selects every segment, with exact
-        compares. Each row's error is summed by its own 1-D dot product,
-        which fixes the fitness bits.
+        Row r's segment s covers the grid points first[r, s] <= g <
+        first[r, s+1], where first holds 0, then the index of the first grid
+        point at or right of each breakpoint, then the grid size. So
+        repeating each segment's slope and intercept by its run length lays
+        them along the grid, exactly. Each row's error is summed by its own
+        1-D dot product, which fixes the fitness bits.
         """
-        size = len(self.xs)
-        rows = np.arange(len(points))[:, None]
-        offsets = rows * (size + 1)
-        first = np.searchsorted(self.xs, points, side="left") + offsets
-        # position r*n + s in first.ravel() is slope r*(n+1) + s
-        seg = np.searchsorted(first.ravel(), np.arange(size) + offsets, side="right") + rows
-        err = slopes.ravel()[seg] * self.xs + intercepts.ravel()[seg] - self.fx
+        shape = len(points), len(self.xs)
+        first = np.zeros((shape[0], points.shape[1] + 2), dtype=np.intp)
+        first[:, 1:-1] = np.searchsorted(self.xs, points, side="left")
+        first[:, -1] = shape[1]
+        runs = (first[:, 1:] - first[:, :-1]).ravel()
+        # in place, which spares the allocations of three grid-sized temporaries
+        err = np.repeat(slopes.ravel(), runs).reshape(shape)
+        err *= self.xs
+        err += np.repeat(intercepts.ravel(), runs).reshape(shape)
+        err -= self.fx
         return [float(e @ e) / self.count for e in err]
 
     def scores(self, rows) -> list:

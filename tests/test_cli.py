@@ -161,6 +161,18 @@ MALFORMED_CONFIG = {
     "search_range-rounds-too-narrow": ({"function": "gelu",
                                         "search_range": [0.25, 0.41000000000000003]},
                                        "invalid field search_range:"),
+    # the fitness grid is bounded, so a wide range fails before any array
+    # is built, and the reference must be finite at both range ends
+    "search_range-wide": ({"function": "gelu", "search_range": [-1e6, 1e6]},
+                          "invalid field search_range:"),
+    "search_range-wide-exp": ({"function": "exp", "search_range": [-1e6, 0]},
+                              "invalid field search_range:"),
+    "search_range-inf-steps": ({"function": "gelu", "search_range": [-1e308, -1e307]},
+                               "invalid field search_range:"),
+    "search_range-exp-overflow": ({"function": "exp", "search_range": [0, 800]},
+                                  "invalid field search_range:"),
+    "search_range-huge": ({"function": "gelu", "search_range": [-1e300, 1e300]},
+                          "invalid field search_range:"),
     # no setting is accepted and then ignored
     "scale_exponents-wide-range": ({"function": "div", "scale_exponents": [-3]},
                                    "invalid field scale_exponents:"),
@@ -882,7 +894,8 @@ def test_main_bad_flag_values_name_the_field(tmp_path, capsys):
 
 def _write_fit(path: str, function: str):
     spec = default_spec(function)
-    points = {"gelu": (-1.3, 0.7), "div": (1.0, 2.0), "rsqrt": (1.0, 2.0)}[function]
+    points = {"gelu": (-1.3, 0.7), "exp": (-5.0, -2.0), "div": (1.0, 2.0),
+              "rsqrt": (1.0, 2.0)}[function]
     bps = BreakpointSet(points=points)
     write_fit_artifact(path, fxp_round_table(derive_table(spec, bps), 5), Provenance("abc", 0))
 

@@ -105,6 +105,47 @@ class ScriptedRng:
         return draw
 
 
+# n = 2^31 + 1 rejects about half its half-words
+DRAW_RANGES = (1, 2, 7, 15, 49, 2**31 + 1)
+
+
+def test_decoder_matches_numpy_generator():
+    # every value of a million mixed calls, then the next raw words: the
+    # decoded draws are numpy's, and no call draws ahead
+    calls = 250_000
+    buffer_states = []
+    for seed in range(4):
+        ours, ref = make_rng(seed), np.random.Generator(np.random.Philox(seed))
+        plan = np.random.default_rng(seed).integers(0, 2**16, size=(calls, 3)).tolist()
+        for kind, a, b in plan:
+            kind %= 40
+            if kind < 18:
+                assert ours.random() == ref.random()
+            elif kind < 36:
+                n = DRAW_RANGES[a % len(DRAW_RANGES)]
+                assert ours.integers(n) == ref.integers(n)
+            elif kind == 36:
+                assert ours.random(1 + b % 15) == ref.random(1 + b % 15).tolist()
+            elif kind == 37:
+                # the tournament's block, after an odd or an even number of
+                # half-words
+                n, size = DRAW_RANGES[a % len(DRAW_RANGES)], (1 + b % 50, 3)
+                buffer_states.append(ours._half is None)
+                got = ours.integers(0, n, size=size)
+                assert got.shape == size
+                assert got.tolist() == ref.integers(0, n, size=size).tolist()
+            elif kind == 38:
+                assert ours.uniform(-4.0, 4.0, 1 + b % 7).tolist() == ref.uniform(
+                    -4.0, 4.0, 1 + b % 7).tolist()
+                assert ours.normal(0.0, 0.4, 1 + a % 7).tolist() == ref.normal(
+                    0.0, 0.4, 1 + a % 7).tolist()
+            else:
+                assert ours.integers(0, 2**63, 1 + b % 4).tolist() == ref.integers(
+                    0, 2**63, 1 + b % 4).tolist()
+        assert ours._raw(4).tolist() == ref.bit_generator.random_raw(4).tolist()
+    assert min(buffer_states.count(True), buffer_states.count(False)) > 5_000
+
+
 def test_crossover_identical_parents():
     a = bset([-3, 0, 3])
     out_a, out_b = crossover(a, a, RANGE, make_rng(0))
@@ -596,13 +637,23 @@ def test_rounding_mutate_matches_reference(case, cfg, seed):
     assert next_draws(rng) == next_draws(ref_rng)
 
 
-@pytest.mark.parametrize("points", [(0.985, 1.015), (3.9,), (-3.9,)])
+@pytest.mark.parametrize("points", [
+    (0.985, 1.015), (3.9,), (-3.9,), (-2.0, 1.0, 3.0), (-1.0, 0.0, 2.0), (-1.0, -0.0, 2.0),
+])
 def test_rounding_mutate_reverts_blocked_snaps(points):
-    # every draw selects a grid; each snap lands within MIN_GAP of the other
-    # point (1.0) or of a range end (4.0, -4.0), so it is reverted
-    cfg = GaConfig(rm_prob=0.5, rm_range=(0, 1))
+    # every draw selects a grid. Each snap of the first three parents lands
+    # within MIN_GAP of the other point (1.0) or of a range end (4.0, -4.0),
+    # so it is reverted. The other points are on every grid, so their snaps
+    # move nothing and are skipped; but a zero takes the full path, since
+    # -0.0 snaps to +0.0.
     p = bset(points)
-    for seed in range(20):
-        out = rounding_mutate(p, cfg, RANGE, make_rng(seed))
-        assert out == p
-        assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, RANGE, make_rng(seed)))
+    for cfg in (GaConfig(rm_prob=0.5, rm_range=(0, 1)), GaConfig(rm_prob=1.0, rm_range=(0, 0))):
+        for seed in range(20):
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            out = rounding_mutate(p, cfg, RANGE, rng)
+            assert out == p
+            assert bits(out.points) == bits(reference_rounding_mutate(p, cfg, RANGE, ref_rng))
+            # one double per point, as the reference draws
+            assert next_draws(rng) == next_draws(ref_rng)
+            if 0.0 not in points:
+                assert out is p

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lutfit.nonlin import DomainError, Kind, NonLinSpec, default_spec, eval_ref
+from lutfit.nonlin import DomainError, Kind, NonLinSpec, default_spec, eval_ref, ref_float
 
 # High-precision oracle value: GELU(1) = Phi(1), computed with mpmath at 40 digits.
 GELU_AT_1 = 0.8413447460685429
@@ -19,6 +19,20 @@ GELU_AT_1 = 0.8413447460685429
 )
 def test_exact_values(kind, x, expected):
     assert eval_ref(default_spec(kind), x) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_ref_float_tracks_eval_ref(kind):
+    # the config reader's numpy-free reference: within a few ulps of
+    # eval_ref, and infinite exactly where the value overflows
+    spec = default_spec(kind)
+    xs = np.linspace(*spec.search_range, 257)
+    assert np.allclose([ref_float(spec, x) for x in xs.tolist()], eval_ref(spec, xs),
+                       rtol=1e-15, atol=0.0)
+    wide = NonLinSpec(kind, (1e-310, 1e300))
+    with np.errstate(all="ignore"):
+        for x in (1e-310, 709.0, 710.0, 1e300):
+            assert np.isfinite(ref_float(wide, x)) == np.isfinite(eval_ref(wide, x)), x
 
 
 def test_gelu_erf_oracle():

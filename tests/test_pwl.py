@@ -344,18 +344,26 @@ def bits(values) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(list(Kind)), st.sampled_from([1, 7, 15]), st.integers(1, 60),
-    st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32 - 1), st.none(),
 )
-def test_batch_scores_match_per_row_reference(kind, n, m, on_grid, seed):
+# rows given as (grid index, offset in grid steps) pairs: a breakpoint on a
+# grid point, two in one grid cell (an empty segment), one in the first cell
+@example(Kind.GELU, 1, 1, 0.0, 0, [[(400, 0.0)]])
+@example(Kind.GELU, 2, 1, 0.0, 0, [[(400, 0.2), (400, 0.7)]])
+@example(Kind.EXP, 3, 2, 0.0, 0, [[(0, 0.5), (1, 0.0), (799, 0.5)], [(0, 0.3), (2, 0.3), (2, 0.6)]])
+def test_batch_scores_match_per_row_reference(kind, n, m, on_grid, seed, placed):
     # rows of ascending breakpoints drawn among the grid cells, a share of
     # them exactly on grid points, where segment selection flips
     scorer = FitnessScorer(default_spec(kind))
     rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(m):
-        cells = np.sort(rng.choice(np.arange(1, len(scorer.xs) - 1), size=n, replace=False))
-        offset = rng.uniform(0.0, 0.9, size=n) * (rng.random(n) >= on_grid)
-        rows.append(tuple((scorer.xs[cells] + offset * FITNESS_STEP).tolist()))
+    if placed is None:
+        placed = []
+        for _ in range(m):
+            cells = np.sort(rng.choice(np.arange(1, len(scorer.xs) - 1), size=n, replace=False))
+            offset = rng.uniform(0.0, 0.9, size=n) * (rng.random(n) >= on_grid)
+            placed.append(list(zip(cells, offset)))
+    rows = [tuple(float(scorer.xs[g] + offset * FITNESS_STEP) for g, offset in row)
+            for row in placed]
     assert bits(scorer.scores(rows)) == bits([reference_score(scorer, row) for row in rows])
     # segments that do not meet at their breakpoint show which one a grid
     # point on a breakpoint selects
