@@ -1,11 +1,17 @@
-"""One reader for the JSON files of run configs and artifacts, and their fields.
+"""One reader for the JSON files of run configs and artifacts, their fields,
+and the frozen value types they are read into.
 
 JSON true/false parses as bool, a subclass of int; the reader never takes
 it for a number. A number must be finite as a float, and errors name the
 field by its dotted path, such as plan.sub_ranges[1].exponent.
+
+The value types are built by frozen, not dataclasses: importing
+dataclasses loads inspect, ast, dis and tokenize, and the decorator execs
+generated source for every class, about 15 ms of each command's start-up.
 """
 
 import json
+import operator
 import sys
 from contextlib import contextmanager
 
@@ -109,3 +115,79 @@ def naming(owner: str = ""):
         field = exc.field if isinstance(exc, FieldError) else ""
         path = ".".join(name for name in (owner, field) if name)
         raise ConfigError(f"invalid field {path}: {exc}") from None
+
+
+def frozen(cls):
+    """cls as an immutable value type over its annotated fields, in order.
+
+    A class attribute named for a field is its default, one object that
+    every instance shares, so a default must itself be immutable. The
+    constructor takes the fields by position or keyword, then runs
+    cls.__post_init__ if there is one; a class that defines __init__ keeps
+    its own. Instances compare and hash by their field values, print as
+    Name(field=value, ...), raise on assignment, and pickle by their
+    __dict__.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name in given or name not in names:
+                problem = "multiple values for" if name in given else "an unexpected"
+                raise TypeError(f"{cls.__name__}() got {problem} field {name!r}")
+        given.update(kwargs)
+        for name in names:
+            if name in given:
+                value = given[name]
+            elif name in defaults:
+                value = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            # not through self.__dict__, whose use would slow every later
+            # attribute read of the instance
+            object.__setattr__(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    # the field values: a tuple, or the bare value of a lone field
+    values = operator.attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {cls.__name__}")
+
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = __init__
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls.__match_args__ = names
+    return cls
+
+
+def fields(cls) -> tuple[str, ...]:
+    """The field names of a frozen class, in order."""
+    return cls.__match_args__
+
+
+def replace(obj, **changes):
+    """A copy of the frozen obj with changes, built by its constructor, so
+    that the checks of its __post_init__ run again."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in fields(type(obj))}, **changes})

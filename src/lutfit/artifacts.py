@@ -14,10 +14,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 from . import __version__
-from ._fields import NULL, NUMBER, ConfigError, json_field, naming, read_json
+from ._fields import NULL, NUMBER, ConfigError, frozen, json_field, naming, read_json
 from .fxp import DatapathConfig
 from .nonlin import Kind, NonLinSpec
 from .pwl import PwlTable
@@ -28,7 +27,7 @@ SCHEMA_VERSION = 1
 EXPORT_FORMATS = ("data", "header", "memh")
 
 
-@dataclass(frozen=True)
+@frozen
 class Provenance:
     config_hash: str
     seed: int

@@ -7,14 +7,13 @@ equal hashes imply byte-identical artifacts.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 
-from ._fields import NULL, NUMBER, ConfigError, json_field, naming, read_json
+from ._fields import NULL, NUMBER, ConfigError, frozen, json_field, naming, read_json, replace
 from .evalbench import DEFAULT_SCALE_EXPONENTS
 from .evolve import GaConfig, MutationKind
 from .fxp import MAX_ACC_BITS, DatapathConfig, fits, to_mantissa
 from .nonlin import SCALE_CARRYING, Kind, NonLinSpec, default_spec, ref_float
-from .pwl import FITNESS_STEP, MAX_GRID_INTERVALS, MIN_GAP, repair_points
+from .pwl import FITNESS_STEP, GAP_TOLERANCE, MAX_GRID_INTERVALS, MIN_GAP, repair_points
 from .quant import PowTwoScale, RangeScalingPlan, SubRange, get_plan
 
 SCHEMA_VERSION = 1
@@ -39,7 +38,7 @@ RM_RANGES = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
     """One run's settings. Each has one home: the entry count is
     ga.n_breakpoints + 1, lambda is datapath.frac_bits and the fit seeds are
@@ -51,10 +50,10 @@ class RunConfig:
 
     function: Kind
     search_range: tuple[float, float] | None = None
-    ga: GaConfig = field(default_factory=GaConfig)
+    ga: GaConfig = GaConfig()
     scale_exponents: tuple[int, ...] = DEFAULT_SCALE_EXPONENTS
     plan: str | RangeScalingPlan | None = None
-    datapath: DatapathConfig = field(default_factory=DatapathConfig)
+    datapath: DatapathConfig = DatapathConfig()
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "out"
 
@@ -317,6 +316,27 @@ def config_from_dict(data: dict) -> RunConfig:
             f"invalid field search_range: {list(spec.search_range)} spans "
             f"{(hi - lo) / FITNESS_STEP:.4g} fitness-grid steps of {FITNESS_STEP}, "
             f"more than {MAX_GRID_INTERVALS}"
+        )
+    # the floats must be fine enough for the repair's x + MIN_GAP to round
+    # within GAP_TOLERANCE, which derive_table allows
+    xmax = max(abs(lo), abs(hi))
+    if math.ulp(xmax) > 2 * GAP_TOLERANCE:
+        raise ConfigError(
+            f"invalid field search_range: {list(spec.search_range)} reaches {xmax:.17g}, where "
+            f"floats lie {math.ulp(xmax):.3g} apart, too coarse to space breakpoints "
+            f"{MIN_GAP} apart to within {GAP_TOLERANCE}"
+        )
+    # fxp_round_table rounds every slope and intercept at lambda fractional
+    # bits. A slope is at most 2 fmax / MIN_GAP in magnitude and an intercept
+    # at most fmax plus a slope times xmax, where fmax, the largest |f| on
+    # the range, is at an end (gelu's dip below zero is under 0.2, which
+    # cannot overflow here); a factor of 2 covers the rounding.
+    fmax = max(abs(ref_float(spec, lo)), abs(ref_float(spec, hi)))
+    if not math.isfinite(2 * (fmax + 2 * fmax / MIN_GAP * xmax) * 2.0**frac_bits):
+        raise ConfigError(
+            f"invalid field search_range: {function.value} reaches {fmax:.3g} on "
+            f"{list(spec.search_range)}, so a slope or intercept at {frac_bits} fractional "
+            f"bits could overflow the float range"
         )
     # the GA repairs every individual into the range at the minimum gap;
     # points crowded at the top take the longest fixup, the worst case

@@ -9,8 +9,8 @@ multi-range scaling plan, through the fixed-point table.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._fields import frozen
 from ._lazy import lazy_import
 from .fxp import DatapathConfig, int_bounds
 from .intsim import int_pwl
@@ -29,7 +29,7 @@ from .quant import (
 np = lazy_import("numpy")
 
 
-@dataclass(frozen=True)
+@frozen
 class ScaleSweepReport:
     """Per-scale and averaged quantization-aware MSE of one table."""
 

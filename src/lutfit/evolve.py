@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 
-from ._fields import FieldError
+from ._fields import FieldError, frozen
 from ._lazy import lazy_import
 from .fxp import MAX_ACC_BITS, round_half_up
 from .nonlin import NonLinSpec
@@ -52,7 +51,7 @@ class MutationKind(Enum):
     ROUNDING = "rm"
 
 
-@dataclass(frozen=True)
+@frozen
 class GaConfig:
     """Genetic-search hyperparameters."""
 

@@ -8,9 +8,8 @@ zones after quantization, which ties away from zero would not.
 """
 
 import math
-from dataclasses import dataclass
 
-from ._fields import FieldError
+from ._fields import FieldError, frozen
 
 # Widest accumulator int64 arithmetic simulates exactly.
 MAX_ACC_BITS = 63
@@ -69,7 +68,7 @@ def shift_right_round(value: int, shift: int) -> int:
     return (int(value) + (1 << (shift - 1))) >> shift
 
 
-@dataclass(frozen=True)
+@frozen
 class DatapathConfig:
     """The table format and bit widths of the integer datapath.
 

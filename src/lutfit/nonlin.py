@@ -6,10 +6,9 @@ measured against. GELU uses the erf form x*Phi(x).
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from ._fields import FieldError
+from ._fields import FieldError, frozen
 from ._lazy import lazy_import
 
 np = lazy_import("numpy")
@@ -49,7 +48,7 @@ def _erf():
     return np.frompyfunc(math.erf, 1, 1)  # 0-d input gives a bare float
 
 
-@dataclass(frozen=True)
+@frozen
 class NonLinSpec:
     """A target operator together with its fitting range."""
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
-from ._fields import FieldError
+from ._fields import FieldError, frozen
 from ._lazy import lazy_import
 from .fxp import fxp_round
 from .nonlin import NonLinSpec, eval_ref
@@ -25,6 +24,9 @@ np = lazy_import("numpy")
 # well defined after mutation.
 FITNESS_STEP = 0.01
 MIN_GAP = 2 * FITNESS_STEP
+# How far below MIN_GAP derive_table lets a segment fall: repair_points
+# spaces points by x + MIN_GAP, which rounds by up to half an ulp of x.
+GAP_TOLERANCE = 1e-12
 # The most FITNESS_STEP intervals the config reader lets a range span: each
 # scored row lays grid-sized arrays over it, 0.5 MB apiece at the cap.
 MAX_GRID_INTERVALS = 2**16
@@ -34,11 +36,16 @@ class GapError(ValueError):
     """Breakpoints too close together (or too close to the range ends)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class BreakpointSet:
     """One GA individual: the strictly ascending points repair_points returns."""
 
     points: tuple[float, ...]
+
+    def __init__(self, points: tuple[float, ...]):
+        # by hand: a stock fit builds tens of thousands of sets, and frozen's
+        # general constructor costs several times this one
+        object.__setattr__(self, "points", points)
 
 
 def _narrow_range(lo: float, hi: float, n: int) -> GapError:
@@ -92,7 +99,7 @@ def repaired_breakpoints(values, search_range) -> BreakpointSet:
     return BreakpointSet(repair_points(values, search_range))
 
 
-@dataclass(frozen=True)
+@frozen
 class PwlTable:
     """Slopes/intercepts of an N-entry pwl plus its N-1 breakpoints, which
     are strictly ascending inside the spec's search range."""
@@ -151,7 +158,7 @@ def derive_table(spec: NonLinSpec, bps: BreakpointSet) -> PwlTable:
     lo, hi = spec.search_range
     nodes = np.array((lo, *bps.points, hi), dtype=float)
     gaps = np.diff(nodes)
-    if gaps.min() < MIN_GAP - 1e-12:
+    if gaps.min() < MIN_GAP - GAP_TOLERANCE:
         raise GapError(f"segment narrower than {MIN_GAP}: gaps {gaps.tolist()}")
     slopes, intercepts = segment_params(nodes, eval_ref(spec, nodes))
     return PwlTable(

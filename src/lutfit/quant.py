@@ -13,9 +13,8 @@ scales with an output rescale of S' (div) or sqrt(S') (rsqrt).
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from ._fields import FieldError
+from ._fields import FieldError, frozen
 from ._lazy import lazy_import
 from .fxp import DatapathConfig, fits, int_bounds, round_half_up, saturate, to_mantissa
 from .nonlin import DomainError, Kind, NonLinSpec
@@ -36,7 +35,7 @@ def _warn(msg: str, *args) -> None:
 MIN_SCALE_EXP, MAX_SCALE_EXP = -1022, 1023
 
 
-@dataclass(frozen=True)
+@frozen
 class PowTwoScale:
     """Scaling factor S = 2^exponent."""
 
@@ -68,7 +67,7 @@ def dequantize(q, scale: PowTwoScale):
     return np.asarray(q, dtype=float) * scale.value
 
 
-@dataclass(frozen=True)
+@frozen
 class QPwlTable:
     """Quantized table ready for the integer datapath or export.
 
@@ -266,7 +265,7 @@ def segment_index(q, table: QPwlTable):
     return int(idx) if np.isscalar(q) else idx
 
 
-@dataclass(frozen=True)
+@frozen
 class SubRange:
     """[lo, hi) slice of the wide input domain with its fold-in scale."""
 
@@ -275,7 +274,7 @@ class SubRange:
     scale: PowTwoScale
 
 
-@dataclass(frozen=True)
+@frozen
 class RangeScalingPlan:
     """Multi-range input scaling setup for a wide-range operator.
 

@@ -10,10 +10,10 @@ import hashlib
 import math
 import statistics
 import time
-from dataclasses import replace
 
 import numpy as np
 
+from lutfit._fields import replace
 from lutfit.cli import cmd_fit
 from lutfit.config import config_from_dict, default_ga_config
 from lutfit.evalbench import quant_aware_mse, sweep_scales, wide_range_mse

@@ -6,14 +6,16 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
 import lutfit
+from lutfit._fields import fields, replace
 from lutfit.artifacts import (
     Provenance,
     read_artifact,
@@ -23,8 +25,9 @@ from lutfit.artifacts import (
 )
 from lutfit.cli import build_parser, cmd_export, main
 from lutfit.config import config_from_dict
-from lutfit.evalbench import quant_aware_mse
+from lutfit.evalbench import ScaleSweepReport, quant_aware_mse
 from lutfit.evolve import GaConfig, crossover, make_rng, rounding_mutate
+from lutfit.fxp import DatapathConfig
 from lutfit.nonlin import Kind, NonLinSpec, default_spec
 from lutfit.pwl import (
     BreakpointSet,
@@ -36,6 +39,7 @@ from lutfit.pwl import (
     fxp_round_table,
     repaired_breakpoints,
 )
+from lutfit.quant import PowTwoScale, RangeScalingPlan, SubRange, quantize_table
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACED = os.path.join(PERFBENCH, "traced.py")
@@ -64,7 +68,7 @@ def test_no_argument_restates_what_its_owner_holds():
     # scale_carrying follows from the kind, the fitness step is FITNESS_STEP,
     # the target is the spec's operator, crossover draws its span, a table
     # carries its spec and a header is named after its artifact
-    assert [f.name for f in fields(NonLinSpec)] == ["kind", "search_range"]
+    assert fields(NonLinSpec) == ("kind", "search_range")
     for fn, params in (
         (derive_table, ["spec", "bps"]),
         (FitnessScorer, ["spec"]),
@@ -79,6 +83,71 @@ def test_no_argument_restates_what_its_owner_holds():
     build_parser().parse_args(export)
     with pytest.raises(SystemExit):
         build_parser().parse_args([*export, "--name", "lut"])
+
+
+def _gelu_table():
+    return derive_table(default_spec(Kind.GELU), BreakpointSet((-1.0, 0.5, 2.0)))
+
+
+# Each value type: a maker of equal fresh instances, its fields in order, and
+# a change its checks reject with a message matching the pattern, or None
+# for a type without checks.
+VALUE_TYPES = {
+    "Provenance": (lambda: Provenance("abc", 0), ("config_hash", "seed", "tool_version"), None),
+    "RunConfig": (lambda: config_from_dict({"function": "div"}),
+                  ("function", "search_range", "ga", "scale_exponents", "plan", "datapath",
+                   "seeds", "out_dir"),
+                  ({"seeds": ()}, "seeds")),
+    "ScaleSweepReport": (lambda: ScaleSweepReport(((-5, 1e-4), (-4, 2e-4))), ("per_scale",),
+                         None),
+    "GaConfig": (GaConfig, ("n_breakpoints", "population_size", "cross_prob", "mutate_prob",
+                            "rm_prob", "rm_range", "iterations", "mutation_kind",
+                            "gaussian_sigma"),
+                 ({"population_size": 0}, "population_size")),
+    "DatapathConfig": (DatapathConfig, ("input_bits", "param_bits", "frac_bits", "acc_bits"),
+                       ({"input_bits": 0}, "input_bits")),
+    "NonLinSpec": (lambda: default_spec(Kind.GELU), ("kind", "search_range"),
+                   ({"search_range": (1.0, -1.0)}, "search_range")),
+    "BreakpointSet": (lambda: BreakpointSet((-1.0, 0.5, 2.0)), ("points",), None),
+    "PwlTable": (_gelu_table, ("slopes", "intercepts", "breakpoints", "spec"),
+                 ({"breakpoints": ()}, "breakpoint")),
+    "PowTwoScale": (lambda: PowTwoScale(-5), ("exponent",), ({"exponent": 5000}, "exponent")),
+    "QPwlTable": (lambda: quantize_table(fxp_round_table(_gelu_table(), 5), PowTwoScale(-5)),
+                  ("slopes_fxp", "intercepts_fxp", "breakpoints_q", "frac_bits", "spec", "scale",
+                   "source_segments", "saturated"),
+                  ({"scale": None}, "needs a scale")),
+    "SubRange": (lambda: SubRange(4.0, 32.0, PowTwoScale(-3)), ("lo", "hi", "scale"), None),
+    "RangeScalingPlan": (
+        lambda: RangeScalingPlan((0.5, 4.0), (SubRange(4.0, 32.0, PowTwoScale(-3)),
+                                              SubRange(32.0, math.inf, PowTwoScale(-6))), Kind.DIV),
+        ("inner_range", "sub_ranges", "op_kind"), ({"op_kind": Kind.GELU}, "div/rsqrt")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_are_frozen_values(name):
+    """Equal instances compare and hash equal, a field cannot be assigned,
+    replace builds through the constructor, so its checks run again, and an
+    instance survives a pickle round trip, as a pooled fit needs."""
+    make, names, rejected = VALUE_TYPES[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name and fields(type(a)) == names
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == f"{name}({', '.join(f'{n}={getattr(a, n)!r}' for n in names)})"
+    with pytest.raises(AttributeError):
+        setattr(a, names[0], getattr(b, names[0]))
+    with pytest.raises(AttributeError):
+        delattr(a, names[0])
+    assert a == b
+    again = pickle.loads(pickle.dumps(a))
+    assert type(again) is type(a) and again == a and hash(again) == hash(a)
+    assert replace(a) == a and replace(a) is not a
+    with pytest.raises(TypeError):
+        replace(a, no_such_field=1)
+    if rejected is not None:
+        changes, message = rejected
+        with pytest.raises(ValueError, match=message):
+            replace(a, **changes)
 
 
 def test_benchmark_workload_configs_load():
@@ -148,19 +217,22 @@ def test_traced_rounding_mutate_counter_counts():
     assert tracer.counters["evolve.rounding_mutate.changed"] == 1
 
 
-# Runs each command of a JSON list through lutfit.cli.main and prints, after
-# each, the loaded modules the start-up test watches: numpy's submodules,
-# multiprocessing, and the standard-library modules only some commands use.
+# Imports lutfit.cli, runs each command of a JSON list through its main and
+# prints, after the import and after each command, the loaded modules the
+# start-up test watches: numpy's submodules, multiprocessing, the
+# standard-library modules only some commands use, and dataclasses and
+# inspect, which no lutfit module needs.
 CHILD = """
 import json, sys
 from lutfit.cli import main
-watched = {"multiprocessing", "hashlib", "_hashlib", "logging", "csv"}
-loaded = []
+watched = {"multiprocessing", "hashlib", "_hashlib", "logging", "csv", "dataclasses", "inspect"}
+def watched_loaded():
+    return sorted(m for m in sys.modules if m.startswith("numpy.") or m.split(".")[0] in watched)
+loaded = [watched_loaded()]
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"{argv} failed")
-    loaded.append(sorted(m for m in sys.modules
-                         if m.startswith("numpy.") or m.split(".")[0] in watched))
+    loaded.append(watched_loaded())
 print(json.dumps(loaded))
 """
 
@@ -176,10 +248,10 @@ def _tree(directory) -> dict:
 
 
 def test_fresh_interpreter_loads_numpy_only_for_numeric_commands(tmp_path, monkeypatch):
-    """Exports load no numpy, hashlib, logging or csv; an eval that
-    collapses no breakpoint loads no numpy.random, hashlib or logging; a fit
-    loads hashlib; and a fresh process writes the bytes an in-process run
-    writes."""
+    """The import and every export load no numpy, hashlib, logging, csv,
+    dataclasses or inspect; an eval that collapses no breakpoint loads no
+    numpy.random, hashlib or logging; a fit loads hashlib; and a fresh
+    process writes the bytes an in-process run writes."""
     exports = [
         ["export", "--table", f"{kind.value}.fit.json", "--format", fmt, "--out", "out",
          *(["--scale-exp", "-5"] if kind is Kind.GELU else [])]
@@ -210,7 +282,8 @@ def test_fresh_interpreter_loads_numpy_only_for_numeric_commands(tmp_path, monke
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    after_import, *loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
     assert loaded[:len(exports)] == [[]] * len(exports)
     after_eval = loaded[len(exports)]
     assert "numpy._core" in after_eval and "csv" in after_eval

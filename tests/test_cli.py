@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lutfit import pwl
+from lutfit._fields import replace
 from lutfit.artifacts import (
     Provenance,
     atomic_write,
@@ -35,8 +36,6 @@ from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import Kind, NonLinSpec, default_spec
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table
 from lutfit.quant import PowTwoScale, QPwlTable, quantize_table
-
-from dataclasses import replace
 
 GELU = default_spec(Kind.GELU)
 
@@ -173,6 +172,16 @@ MALFORMED_CONFIG = {
                                   "invalid field search_range:"),
     "search_range-huge": ({"function": "gelu", "search_range": [-1e300, 1e300]},
                           "invalid field search_range:"),
+    # every slope and intercept is finite at lambda: exp reaches 8.2e307 at 709
+    "search_range-exp-params": ({"function": "exp", "search_range": [700, 709]},
+                                "invalid field search_range:"),
+    # the floats are fine enough to space breakpoints MIN_GAP apart: at 1e18
+    # they lie 128 apart, and at 33000 x + MIN_GAP rounds past derive_table's
+    # tolerance
+    "search_range-coarse": ({"function": "gelu", "search_range": [1e18, 1.0000000000000005e18]},
+                            "invalid field search_range:"),
+    "search_range-gap-rounds": ({"function": "gelu", "search_range": [33000, 33005]},
+                                "invalid field search_range:"),
     # no setting is accepted and then ignored
     "scale_exponents-wide-range": ({"function": "div", "scale_exponents": [-3]},
                                    "invalid field scale_exponents:"),
@@ -762,6 +771,67 @@ def test_main_malformed_config_names_field(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}"), err
     assert not os.path.exists(out)
+
+
+# The values the fuzz test sets each config leaf to: zero and a sign, the
+# float range's ends and a number past it, a fraction, and sizes past what
+# the GA and the datapath take.
+EXTREMES = (0, -1, 1e-300, -1e-300, 1e300, -1e300, -2**63, 10**400, 0.5, 1e6, 64, 1000)
+
+# Search ranges that once ended in a traceback or an error naming no field.
+EXTREME_RANGES = (
+    ("gelu", [-1e6, 1e6]),
+    ("exp", [-1e6, 0]),
+    ("gelu", [-1e308, -1e307]),
+    ("exp", [0, 800]),
+    ("exp", [700, 720]),
+    ("gelu", [-1e300, 1e300]),
+    ("exp", [700, 709]),
+    ("gelu", [1e18, 1.0000000000000005e18]),
+    ("gelu", [33000, 33005]),
+)
+
+
+def _leaves(node, path=()):
+    """(path, value) of every leaf of a JSON tree, the items of a list included."""
+    if not isinstance(node, (dict, list)):
+        yield path, node
+        return
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _leaves(value, (*path, key))
+
+
+@pytest.mark.parametrize("function", ["gelu", "exp", "div", "rsqrt"])
+def test_main_fit_of_any_config_exits_0_or_2(tmp_path, monkeypatch, capsys, function):
+    """Every config either fits or is rejected naming a field, never a
+    traceback: each leaf of the stock config set to each extreme value, and
+    each extreme search range. The reader rejects an extreme range before any
+    array is built, so a grid's memory is never at stake."""
+    monkeypatch.chdir(tmp_path)
+    stock = config_to_dict(config_from_dict(
+        {"function": function, "ga": {"iterations": 2, "population_size": 4}}))
+    configs = [{**stock, "search_range": search_range}
+               for fn, search_range in EXTREME_RANGES if fn == function]
+    for path, _ in _leaves(stock):
+        for value in EXTREMES:
+            config = json.loads(json.dumps(stock))
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            configs.append(config)
+    failed = []
+    for config in configs:
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        try:
+            code = main(["fit", "--config", str(cfg_path)])
+        except Exception as exc:  # a traceback, the failure this test looks for
+            code = repr(exc)
+        if code not in (0, 2):
+            failed.append((config, code))
+        capsys.readouterr()
+    assert not failed, failed
 
 
 def test_main_eval_reports_the_plan_that_ran(tmp_path, capsys):

@@ -1,12 +1,12 @@
 import importlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lutfit._fields import replace
 from lutfit.config import default_ga_config
 from lutfit.evolve import (
     GaConfig,

@@ -1,12 +1,12 @@
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lutfit._fields import replace
 from lutfit.fxp import DatapathConfig, int_bounds
 from lutfit.nonlin import DomainError, Kind, default_spec, eval_ref
 from lutfit.pwl import BreakpointSet, derive_table, fxp_round_table, repaired_breakpoints
